@@ -8,18 +8,12 @@ routes are exposed so they can cross-validate.
 
 from __future__ import annotations
 
-from functools import lru_cache
-
 from .laurent import ZERO, ONE, T, LaurentPoly
 from .partitions import (
-    contingency_matrices, partitions_of, sort_to_partition, weight,
+    check_weights, contingency_matrices, partitions_of, sort_to_partition,
+    weight,
 )
-from .characters import _qm1_pow, character
-
-
-def _check_weights(lam, mu):
-    if weight(lam) != weight(mu):
-        raise ValueError(f"weight mismatch: |{lam}| != |{mu}|")
+from .characters import _cached, _qm1_pow, character
 
 
 def neg_q_bracket(k):
@@ -98,7 +92,7 @@ def supercharacter_two_rows_explicit(mu):
     return total
 
 
-@lru_cache(maxsize=None)
+@_cached
 def entry_weight(k):
     """The matrix-entry weight (t-1)^2 * [k]_{t^2}; 1 at k = 0, 0 below."""
     if k < 0:
@@ -126,7 +120,7 @@ def gram_pairing(lam, mu):
     contingency matrices of the product of entry weights."""
     lam = tuple(lam)
     mu = tuple(mu)
-    _check_weights(lam, mu)
+    check_weights(lam, mu)
     total = ZERO
     for matrix in contingency_matrices(lam, mu):
         prod = ONE
@@ -148,7 +142,7 @@ def bitrace(lam, mu, method="matrices"):
     """
     lam = tuple(p for p in lam if p)
     mu = tuple(p for p in mu if p)
-    _check_weights(lam, mu)
+    check_weights(lam, mu)
     n = weight(lam)
     if n < 1:
         raise ValueError("bitrace requires weight at least 1")
@@ -170,7 +164,7 @@ def bitrace_via_gram(lam, mu):
     gram pairing with the variable inverted."""
     lam = tuple(p for p in lam if p)
     mu = tuple(p for p in mu if p)
-    _check_weights(lam, mu)
+    check_weights(lam, mu)
     n = weight(lam)
     h = gram_pairing(lam, mu).invert_variable().shift(2 * n)
     return h.divexact(_qm1_pow(len(lam) + len(mu)))

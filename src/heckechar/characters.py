@@ -34,9 +34,9 @@ from .laurent import (
     monomial, polyv_product,
 )
 from .partitions import (
-    clear_enumeration_caches, nonzero_length, partition_tuples,
-    partitions_of, sort_to_partition, strip_removals, sub_compositions,
-    weight,
+    check_weights, clear_enumeration_caches, nonzero_length,
+    partition_tuples, partitions_of, sort_to_partition, strip_removals,
+    sub_compositions, weight,
 )
 from .schur import (
     _omt_pow, centralizer_order, centralizer_poly_factors,
@@ -60,11 +60,6 @@ ONE_MINUS_TINV = ONE - monomial(1, -1)
 @_cached
 def _qm1_pow(j):
     return T_MINUS_ONE ** j
-
-
-def _check_weights(lam, mu):
-    if weight(lam) != weight(mu):
-        raise ValueError(f"weight mismatch: |{lam}| != |{mu}|")
 
 
 def normalize_g_to_chi(g, n, l_mu):
@@ -180,7 +175,7 @@ def mn_character(lam, mu):
     largest part first."""
     lam = tuple(lam)
     mu = sort_to_partition(mu)
-    _check_weights(lam, mu)
+    check_weights(lam, mu)
     return _mn_cached(lam, mu)
 
 
@@ -194,7 +189,7 @@ def character_via_sn(lam, mu):
     """
     lam = tuple(lam)
     mu = sort_to_partition(mu)
-    _check_weights(lam, mu)
+    check_weights(lam, mu)
     if not lam:
         return ONE
     n = weight(mu)
@@ -262,7 +257,7 @@ def character_via_newton(lam, mu):
     transition coefficients; bottoms out at the empty partition."""
     lam = tuple(lam)
     mu = sort_to_partition(mu)
-    _check_weights(lam, mu)
+    check_weights(lam, mu)
     return _via_newton_cached(lam, mu)
 
 
@@ -349,7 +344,7 @@ def character(lam, mu, algorithm="auto"):
     """
     lam = tuple(lam)
     mu = sort_to_partition(mu)
-    _check_weights(lam, mu)
+    check_weights(lam, mu)
     if not lam:
         return ONE
     tag = resolve_algorithm(lam, algorithm)
@@ -385,38 +380,21 @@ class CharTable:
         return self.entries[(tuple(lam), sort_to_partition(mu))]
 
 
-def _table_pairs(n):
-    parts = partitions_of(n)
-    return [(lam, mu) for lam in parts for mu in parts]
-
-
-def _table_entry(args):
-    lam, mu, algorithm = args
-    tag = resolve_algorithm(lam, algorithm)
-    return lam, mu, tag, character(lam, mu, algorithm).to_pairs()
-
-
-def char_table(n, algorithm="auto", jobs=1):
+def char_table(n, algorithm="auto"):
     """Fill the full table of character values for degree n.
 
-    With jobs > 1 the pairs are computed in worker processes; each worker
-    recomputes shared subproblems independently, which is allowed because
-    every route is deterministic.  Entry order is fixed either way.
+    Both indices run over the partitions of n in reverse-lexicographic
+    order; each entry records the route that produced it.
     """
     if n < 0:
         raise ValueError("n must be non-negative")
-    pairs = _table_pairs(n)
     table = CharTable(n=n)
-    work = [(lam, mu, algorithm) for lam, mu in pairs]
-    if jobs > 1 and len(work) > 1:
-        from concurrent.futures import ProcessPoolExecutor
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(_table_entry, work, chunksize=8))
-    else:
-        results = [_table_entry(w) for w in work]
-    for lam, mu, tag, poly_pairs in results:
-        table.entries[(lam, mu)] = LaurentPoly.from_pairs(poly_pairs)
-        table.provenance[(lam, mu)] = tag
+    parts = partitions_of(n)
+    for lam in parts:
+        tag = resolve_algorithm(lam, algorithm)
+        for mu in parts:
+            table.provenance[(lam, mu)] = tag
+            table.entries[(lam, mu)] = character(lam, mu, algorithm)
     return table
 
 

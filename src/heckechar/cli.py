@@ -17,14 +17,12 @@ import os
 import sys
 import time
 
-from .laurent import LaurentPoly
 from .partitions import (
     format_partition, parse_composition, parse_partition, sort_to_partition,
-    weight,
 )
 from .characters import (
-    ALGORITHM_NAMES, CharTable, char_table, character, clear_caches,
-    dumps_table, entry_document, resolve_algorithm,
+    ALGORITHM_NAMES, char_table, character, clear_caches, dumps_table,
+    entry_document, resolve_algorithm, save_table,
 )
 from .applications import bitrace
 from .verify import SUITE_NAMES, run_suites
@@ -64,7 +62,6 @@ def _build_parser():
     p_table.add_argument("--cache", default=None,
                          help="persist the table here instead of printing "
                               f"(default from ${CACHE_ENV})")
-    p_table.add_argument("--jobs", type=int, default=1)
 
     p_btr = sub.add_parser("bitrace", help="bitrace of the regular "
                                            "representation")
@@ -79,7 +76,6 @@ def _build_parser():
     p_verify.add_argument("--suites", default="all",
                           help="comma-separated subset of "
                                f"{','.join(SUITE_NAMES)} or 'all'")
-    p_verify.add_argument("--jobs", type=int, default=1)
 
     p_bench = sub.add_parser("bench", help="time algorithms on a full table")
     p_bench.add_argument("--n", type=int, required=True)
@@ -94,8 +90,6 @@ def _cmd_char(args, parser):
     try:
         lam = parse_partition(args.lam)
         mu = parse_partition(args.mu)
-        if weight(lam) != weight(mu):
-            raise ValueError(f"weight mismatch: |{lam}| != |{mu}|")
         value = character(lam, mu, args.algorithm)
     except ValueError as err:
         parser.error(str(err))
@@ -111,11 +105,10 @@ def _cmd_char(args, parser):
 def _cmd_table(args, parser):
     if args.n < 0:
         parser.error("n must be non-negative")
-    table = char_table(args.n, algorithm=args.algorithm, jobs=max(1, args.jobs))
+    table = char_table(args.n, algorithm=args.algorithm)
     cache_path = args.cache or os.environ.get(CACHE_ENV)
     if cache_path:
-        with open(cache_path, "w", encoding="utf-8") as fh:
-            fh.write(dumps_table(table))
+        save_table(table, cache_path)
         print(f"wrote {len(table.entries)} entries to {cache_path}",
               file=sys.stderr)
         return 0
@@ -145,19 +138,10 @@ def _cmd_bitrace(args, parser):
 
 def _cmd_verify(args, parser):
     names = tuple(s.strip() for s in args.suites.split(",") if s.strip())
-    if "all" in names:
-        names = SUITE_NAMES
-    for name in names:
-        if name not in SUITE_NAMES:
-            parser.error(f"unknown suite {name!r}")
-    if args.jobs > 1 and len(names) > 1:
-        from concurrent.futures import ProcessPoolExecutor
-        from .verify import SUITES
-        with ProcessPoolExecutor(max_workers=args.jobs) as pool:
-            futures = [pool.submit(SUITES[name], args.n_max) for name in names]
-            report = {name: f.result() for name, f in zip(names, futures)}
-    else:
+    try:
         report = run_suites(names, n_max=args.n_max)
+    except ValueError as err:
+        parser.error(str(err))
     failed = False
     for name, failures in report.items():
         if failures:

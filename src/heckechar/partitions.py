@@ -56,6 +56,11 @@ def weight(parts):
     return sum(parts)
 
 
+def check_weights(lam, mu):
+    if weight(lam) != weight(mu):
+        raise ValueError(f"weight mismatch: |{lam}| != |{mu}|")
+
+
 def nonzero_length(parts):
     """Length of a composition: the number of nonzero parts."""
     return sum(1 for p in parts if p)

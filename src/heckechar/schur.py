@@ -28,7 +28,7 @@ from .laurent import (
     ZERO, ONE, T, ExactnessError, LaurentPoly, RationalFn, monomial,
 )
 from .partitions import (
-    compositions_of, partition_tuples, sort_to_partition,
+    check_weights, compositions_of, partition_tuples, sort_to_partition,
     strip_removals, subpartitions_of_weight, weight,
 )
 
@@ -297,11 +297,6 @@ _PEELERS = {
 }
 
 
-def _check_weights(lam, mu):
-    if weight(lam) != weight(mu):
-        raise ValueError(f"weight mismatch: |{lam}| != |{mu}|")
-
-
 @_cached
 def _pairing_cached(lam, mu, strategy):
     peel = _PEELERS[strategy]
@@ -326,7 +321,7 @@ def pairing_polynomial(lam, mu, strategy="strips"):
     """
     lam = tuple(lam)
     mu = sort_to_partition(mu)
-    _check_weights(lam, mu)
+    check_weights(lam, mu)
     if strategy == "oracle":
         return pairing_oracle(lam, mu)
     if strategy not in _PEELERS:
@@ -383,7 +378,7 @@ def classical_character(lam, rho):
     border-strip recursion (single strips, sign by row count)."""
     lam = tuple(lam)
     rho = sort_to_partition(rho)
-    _check_weights(lam, rho)
+    check_weights(lam, rho)
     return _classical_mn(lam, rho)
 
 
@@ -399,7 +394,7 @@ def pairing_oracle(lam, mu):
     """
     lam = tuple(lam)
     mu = sort_to_partition(mu)
-    _check_weights(lam, mu)
+    check_weights(lam, mu)
     acc = {}
     for tup in partition_tuples(mu):
         rho = sort_to_partition([p for block in tup for p in block])

@@ -238,10 +238,14 @@ def test_closed_form_algorithms_reject_wrong_shapes():
 
 def test_clear_caches_resets_state():
     from heckechar.characters import clear_caches, _char_cache
+    from heckechar.applications import bitrace, entry_weight
     character((3, 2, 1), (2, 2, 1, 1))
+    bitrace((2, 1), (3,))
     assert _char_cache
+    assert entry_weight.cache_info().currsize
     clear_caches()
     assert not _char_cache
+    assert entry_weight.cache_info().currsize == 0
     assert character((3, 2, 1), (2, 2, 1, 1)) == 4 * (T - ONE) ** 2
 
 

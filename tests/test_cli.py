@@ -3,7 +3,11 @@ import json
 import pytest
 
 from heckechar.cli import main
-from heckechar.characters import char_table, dumps_table, loads_table
+from heckechar.characters import (
+    ALGORITHMS, char_table, clear_caches, dumps_table, loads_table,
+)
+from heckechar.laurent import ONE
+from heckechar.verify import suite_cross
 
 
 def run(capsys, *argv):
@@ -58,6 +62,9 @@ def test_unknown_flag_exits_2():
     with pytest.raises(SystemExit) as exc:
         main(["char", "--lambda", "2", "--mu", "2", "--frobnicate"])
     assert exc.value.code == 2
+    with pytest.raises(SystemExit) as exc:
+        main(["table", "--n", "3", "--jobs", "2"])
+    assert exc.value.code == 2
 
 
 def test_table_json_round_trips(capsys):
@@ -104,15 +111,6 @@ def test_table_cache_env(tmp_path, capsys, monkeypatch):
     assert flag_path.read_text() == env_path.read_text()
 
 
-def test_table_jobs_deterministic(capsys):
-    code, serial, _ = run(capsys, "table", "--n", "3", "--format", "json")
-    assert code == 0
-    code, parallel, _ = run(capsys, "table", "--n", "3", "--format", "json",
-                            "--jobs", "2")
-    assert code == 0
-    assert serial == parallel
-
-
 def test_bitrace_command(capsys):
     code, out, _ = run(capsys, "bitrace", "--lambda", "2", "--mu", "1,1")
     assert code == 0
@@ -141,6 +139,34 @@ def test_verify_unknown_suite_exits_2(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["verify", "--suites", "bogus"])
     assert exc.value.code == 2
+
+
+@pytest.fixture
+def broken_strips_route(monkeypatch):
+    """Make the "strips" route off by one, with no stale memo either side."""
+    original = ALGORITHMS["strips"]
+    monkeypatch.setitem(ALGORITHMS, "strips",
+                        lambda lam, mu: original(lam, mu) + ONE)
+    clear_caches()
+    yield
+    monkeypatch.undo()
+    clear_caches()
+
+
+def test_verify_reports_counterexample(capsys, broken_strips_route):
+    failures = suite_cross(2)
+    assert {"check": "algorithm_agreement", "lam": [2], "mu": [1, 1],
+            "algorithm": "strips", "got": "2", "expected": "1"} in failures
+    code, out, _ = run(capsys, "verify", "--n-max", "2", "--suites",
+                       "golden,cross")
+    assert code == 1
+    lines = out.strip().splitlines()
+    assert lines[0] == "golden: pass"
+    assert lines[1].startswith("cross: FAIL")
+    report = json.loads(lines[2])
+    assert report["ok"] is False and report["n_max"] == 2
+    assert report["suites"]["golden"] == []
+    assert report["suites"]["cross"] == failures
 
 
 def test_bench_command(capsys):
