@@ -34,7 +34,7 @@ from .laurent import (
     monomial, polyv_product,
 )
 from .partitions import (
-    check_weights, clear_enumeration_caches, nonzero_length,
+    check_indices, clear_enumeration_caches, nonzero_length,
     partition_tuples, partitions_of, sort_to_partition, strip_removals,
     sub_compositions, weight,
 )
@@ -173,9 +173,7 @@ def _mn_cached(lam, mu):
 def mn_character(lam, mu):
     """Character by removing a broken border strip for each part of mu,
     largest part first."""
-    lam = tuple(lam)
-    mu = sort_to_partition(mu)
-    check_weights(lam, mu)
+    lam, mu = check_indices(lam, mu)
     return _mn_cached(lam, mu)
 
 
@@ -187,9 +185,7 @@ def character_via_sn(lam, mu):
     Exact rational accumulation; the final division by (q-1)^len(mu)
     must come out polynomial.
     """
-    lam = tuple(lam)
-    mu = sort_to_partition(mu)
-    check_weights(lam, mu)
+    lam, mu = check_indices(lam, mu)
     if not lam:
         return ONE
     n = weight(mu)
@@ -255,9 +251,7 @@ def _via_newton_cached(lam, mu):
 def character_via_newton(lam, mu):
     """Reduce to Hecke characters of lower degree through the Newton
     transition coefficients; bottoms out at the empty partition."""
-    lam = tuple(lam)
-    mu = sort_to_partition(mu)
-    check_weights(lam, mu)
+    lam, mu = check_indices(lam, mu)
     return _via_newton_cached(lam, mu)
 
 
@@ -323,8 +317,6 @@ ALGORITHMS = {
 
 ALGORITHM_NAMES = ("auto",) + tuple(ALGORITHMS)
 
-_char_cache = {}
-
 
 def resolve_algorithm(lam, algorithm="auto"):
     """Concrete algorithm tag used for a query (auto picks the cheapest
@@ -342,22 +334,14 @@ def character(lam, mu, algorithm="auto"):
     ``lam`` must be a partition; ``mu`` may be given in any order and is
     sorted (the value depends only on its part multiset).
     """
-    lam = tuple(lam)
-    mu = sort_to_partition(mu)
-    check_weights(lam, mu)
+    lam, mu = check_indices(lam, mu)
     if not lam:
         return ONE
-    tag = resolve_algorithm(lam, algorithm)
-    key = (lam, mu, tag)
-    hit = _char_cache.get(key)
-    if hit is None:
-        hit = _char_cache[key] = ALGORITHMS[tag](lam, mu)
-    return hit
+    return ALGORITHMS[resolve_algorithm(lam, algorithm)](lam, mu)
 
 
 def clear_caches():
     """Reset every memo table (the CLI bench mode uses this between runs)."""
-    _char_cache.clear()
     for fn in _CACHES:
         fn.cache_clear()
     clear_engine_caches()
@@ -403,12 +387,9 @@ def table_to_document(table):
     for lam in partitions_of(table.n):
         for mu in partitions_of(table.n):
             key = (lam, mu)
-            entries.append({
-                "lambda": list(lam),
-                "mu": list(mu),
-                "algorithm": table.provenance.get(key, "unknown"),
-                "poly": table.entries[key].to_pairs(),
-            })
+            entries.append(entry_document(
+                lam, mu, table.provenance.get(key, "unknown"),
+                table.entries[key]))
     return {
         "format_version": FORMAT_VERSION,
         "n": table.n,

@@ -499,27 +499,22 @@ class PolyV:
         return f"PolyV[{inner}]"
 
 
-def polyv_mul(a, b, truncate_at=None):
+def polyv_mul(a, b):
     if not a.coeffs or not b.coeffs:
         return PolyV([])
-    deg = a.degree() + b.degree()
-    if truncate_at is not None:
-        deg = min(deg, truncate_at)
-    out = [ZERO] * (deg + 1)
+    out = [ZERO] * (a.degree() + b.degree() + 1)
     for i, ca in enumerate(a.coeffs):
-        if ca.is_zero() or i > deg:
+        if ca.is_zero():
             continue
         for j, cb in enumerate(b.coeffs):
-            if i + j > deg:
-                break
             if not cb.is_zero():
                 out[i + j] = out[i + j] + ca * cb
     return PolyV(out)
 
 
-def polyv_product(factors, truncate_at=None):
-    """Exact product of PolyV factors, optionally truncated in v-degree."""
+def polyv_product(factors):
+    """Exact product of PolyV factors."""
     result = PolyV([ONE])
     for f in factors:
-        result = polyv_mul(result, f, truncate_at)
+        result = polyv_mul(result, f)
     return result

@@ -61,6 +61,28 @@ def check_weights(lam, mu):
         raise ValueError(f"weight mismatch: |{lam}| != |{mu}|")
 
 
+def check_indices(lam, mu):
+    """Validate a character index pair and return ``(lam, sorted mu)``.
+
+    ``lam`` must be a partition and ``mu`` a composition of the same
+    weight (non-negative int parts, in any order); zero parts of ``mu``
+    are dropped.
+    """
+    lam = tuple(lam)
+    prev = lam[0] if lam else 0
+    for p in lam:
+        if not (isinstance(p, int) and 1 <= p <= prev):
+            raise ValueError(f"not a partition: {lam}")
+        prev = p
+    mu = tuple(mu)
+    for p in mu:
+        if not (isinstance(p, int) and p >= 0):
+            raise ValueError(f"not a composition: {mu}")
+    mu = sort_to_partition(mu)
+    check_weights(lam, mu)
+    return lam, mu
+
+
 def nonzero_length(parts):
     """Length of a composition: the number of nonzero parts."""
     return sum(1 for p in parts if p)
@@ -215,67 +237,49 @@ class SkewShape:
                 raise ValueError(f"inner {self.inner} not contained in outer {self.outer}")
 
     def boxes(self):
-        return _skew_boxes(self.outer, self.inner)
+        inner = self.inner + (0,) * (len(self.outer) - len(self.inner))
+        return [(i, j) for i, op in enumerate(self.outer)
+                for j in range(inner[i], op)]
 
     def size(self):
         return sum(self.outer) - sum(self.inner)
 
 
-def _skew_boxes(outer, inner):
-    boxes = []
-    for i, op in enumerate(outer):
-        ip = inner[i] if i < len(inner) else 0
-        for j in range(ip, op):
-            boxes.append((i, j))
-    return boxes
-
-
-def _components(boxes):
-    # connectivity through edge-adjacent boxes only; diagonal contact
-    # does NOT connect
-    remaining = set(boxes)
-    comps = []
-    while remaining:
-        seed = min(remaining)
-        stack = [seed]
-        remaining.discard(seed)
-        comp = [seed]
-        while stack:
-            i, j = stack.pop()
-            for nb in ((i - 1, j), (i + 1, j), (i, j - 1), (i, j + 1)):
-                if nb in remaining:
-                    remaining.discard(nb)
-                    stack.append(nb)
-                    comp.append(nb)
-        comps.append(comp)
-    comps.sort(key=lambda c: (min(b[0] for b in c), min(b[1] for b in c)))
-    return comps
-
-
-def _is_strip(comp):
-    cells = set(comp)
-    for i, j in comp:
-        if (i + 1, j) in cells and (i, j + 1) in cells and (i + 1, j + 1) in cells:
-            return False
-    return True
-
-
 def _analyze(outer, inner):
-    boxes = _skew_boxes(outer, inner)
-    comps = _components(boxes)
+    # one pass over the rows; each piece is [rows, left, right, size]
     flag = True
-    infos = []
-    for comp in comps:
-        if not _is_strip(comp):
-            flag = False
-        rows = len({b[0] for b in comp})
-        cols = len({b[1] for b in comp})
-        infos.append(StripComponent(rows=rows, cols=cols, size=len(comp)))
-    return flag, tuple(infos)
+    pieces = []
+    prev_lo = prev_hi = 0
+    for i, hi in enumerate(outer):
+        lo = inner[i] if i < len(inner) else 0
+        if lo >= hi:
+            # an empty row joins nothing
+            prev_lo = prev_hi = 0
+            continue
+        overlap = min(hi, prev_hi) - max(lo, prev_lo)
+        if overlap > 0:
+            if overlap > 1:
+                flag = False
+            piece = pieces[-1]
+            piece[0] += 1
+            piece[1] = min(piece[1], lo)
+            piece[2] = max(piece[2], hi)
+            piece[3] += hi - lo
+        else:
+            pieces.append([1, lo, hi, hi - lo])
+        prev_lo, prev_hi = lo, hi
+    return flag, tuple(StripComponent(rows=r, cols=right - left, size=size)
+                       for r, left, right, size in pieces)
 
 
 def analyze_skew(shape):
     """Decompose a skew shape into connected components, top to bottom.
+
+    Row i of the shape is the column interval [inner_i, outer_i).  Two
+    consecutive non-empty rows lie in one component exactly when their
+    intervals overlap, and an overlap of two or more columns is a 2x2
+    block; a component's column count is the width of the union of its
+    intervals.
 
     Returns ``(is_broken_border_strip, components)`` where the flag is
     true iff no component contains a 2x2 block.  The empty skew is a

@@ -28,8 +28,8 @@ from .laurent import (
     ZERO, ONE, T, ExactnessError, LaurentPoly, RationalFn, monomial,
 )
 from .partitions import (
-    check_weights, compositions_of, partition_tuples, sort_to_partition,
-    strip_removals, subpartitions_of_weight, weight,
+    SkewShape, check_indices, compositions_of, partition_tuples,
+    sort_to_partition, strip_removals, subpartitions_of_weight, weight,
 )
 
 ONE_MINUS_T = ONE - T
@@ -217,11 +217,6 @@ def _bareiss_det(rows):
     return -d if sign < 0 else d
 
 
-def _check_contained(lam, mu):
-    if len(mu) > len(lam) or any(mu[i] > lam[i] for i in range(len(mu))):
-        raise ValueError(f"{mu} is not contained in {lam}")
-
-
 @_cached
 def _scaled_det(lam, mu):
     # (1-t)^{l(lam)} * det M(lam/mu; t): an honest polynomial
@@ -231,7 +226,7 @@ def _scaled_det(lam, mu):
 
 def det_matrix(lam, mu):
     """The peel matrix itself, with entries 0, 1 or 1/(1-t)."""
-    _check_contained(lam, mu)
+    SkewShape(lam, mu)  # ValueError unless mu lies inside lam
     l = len(lam)
     mu_padded = mu + (0,) * (l - len(mu))
     inv = RationalFn(ONE, ONE_MINUS_T)
@@ -248,7 +243,7 @@ def det_matrix(lam, mu):
 
 def det_value(lam, mu):
     """Determinant of the peel matrix, computed fraction-free."""
-    _check_contained(lam, mu)
+    SkewShape(lam, mu)  # ValueError unless mu lies inside lam
     return RationalFn(_scaled_det(lam, mu), _omt_pow(len(lam)))
 
 
@@ -319,9 +314,7 @@ def pairing_polynomial(lam, mu, strategy="strips"):
     ``lam`` and reads the coefficient of the empty partition.  The result
     is always a polynomial in t with integer coefficients.
     """
-    lam = tuple(lam)
-    mu = sort_to_partition(mu)
-    check_weights(lam, mu)
+    lam, mu = check_indices(lam, mu)
     if strategy == "oracle":
         return pairing_oracle(lam, mu)
     if strategy not in _PEELERS:
@@ -376,9 +369,7 @@ def _classical_mn(lam, rho):
 def classical_character(lam, rho):
     """Symmetric-group irreducible character value, by the classical
     border-strip recursion (single strips, sign by row count)."""
-    lam = tuple(lam)
-    rho = sort_to_partition(rho)
-    check_weights(lam, rho)
+    lam, rho = check_indices(lam, rho)
     return _classical_mn(lam, rho)
 
 
@@ -392,9 +383,7 @@ def pairing_oracle(lam, mu):
     all integer denominators.  Shares nothing with the peeling code
     beyond the partition enumerators.
     """
-    lam = tuple(lam)
-    mu = sort_to_partition(mu)
-    check_weights(lam, mu)
+    lam, mu = check_indices(lam, mu)
     acc = {}
     for tup in partition_tuples(mu):
         rho = sort_to_partition([p for block in tup for p in block])

@@ -278,6 +278,8 @@ def run_suites(names, n_max=5):
     """Run the selected suites; returns ``{name: [failure, ...]}``."""
     if "all" in names:
         names = SUITE_NAMES
+    if not names:
+        raise ValueError("no suite selected")
     for name in names:
         if name not in SUITES:
             raise ValueError(f"unknown suite {name!r}")

@@ -98,3 +98,36 @@ def exchange_straighten(word):
     if word and word[-1] < 0:
         return None
     return sign, tuple(word)
+
+
+def box_skew_analysis(outer, inner):
+    """Skew-shape analysis on an explicit set of boxes.
+
+    Lists the boxes (i, j) with inner_i <= j < outer_i, flood-fills them
+    into edge-connected components (diagonal contact does not connect),
+    orders the components top to bottom and scans each one for a 2x2
+    block.  Returns ``(no_2x2_block, ((rows, cols, size), ...))``.
+    """
+    boxes = set()
+    for i, op in enumerate(outer):
+        ip = inner[i] if i < len(inner) else 0
+        boxes.update((i, j) for j in range(ip, op))
+    comps = []
+    remaining = set(boxes)
+    while remaining:
+        seed = min(remaining)
+        remaining.discard(seed)
+        stack, comp = [seed], [seed]
+        while stack:
+            i, j = stack.pop()
+            for nb in ((i - 1, j), (i + 1, j), (i, j - 1), (i, j + 1)):
+                if nb in remaining:
+                    remaining.discard(nb)
+                    stack.append(nb)
+                    comp.append(nb)
+        comps.append(comp)
+    comps.sort(key=lambda c: (min(b[0] for b in c), min(b[1] for b in c)))
+    flag = not any((i + 1, j) in boxes and (i, j + 1) in boxes
+                   and (i + 1, j + 1) in boxes for i, j in boxes)
+    return flag, tuple((len({b[0] for b in c}), len({b[1] for b in c}), len(c))
+                       for c in comps)

@@ -1,3 +1,4 @@
+import hashlib
 import json
 from concurrent.futures import ThreadPoolExecutor
 
@@ -9,9 +10,9 @@ from heckechar.laurent import (
 from heckechar.partitions import partitions_of, standard_tableaux_count
 from heckechar.schur import classical_character, pairing_polynomial
 from heckechar.characters import (
-    ALGORITHMS, CharTable, char_table, character, character_via_newton,
-    character_via_sn, document_to_table, dumps_table, entry_document,
-    hook_character, hook_weights, loads_table, mn_character,
+    ALGORITHMS, ALGORITHM_NAMES, CharTable, char_table, character,
+    character_via_newton, character_via_sn, document_to_table, dumps_table,
+    entry_document, hook_character, hook_weights, loads_table, mn_character,
     normalize_g_to_chi, resolve_algorithm, table_to_document,
     two_row_character, two_row_cumulative, two_row_weights,
 )
@@ -210,6 +211,8 @@ def test_character_interface():
     assert character((), ()) == ONE
     # the lower index is a multiset
     assert character((3, 1), (1, 2, 1)) == character((3, 1), (2, 1, 1))
+    # zero parts of the lower index are dropped
+    assert character((3, 1), (2, 0, 2)) == character((3, 1), (2, 2))
     assert resolve_algorithm((5,)) == "one_row"
     assert resolve_algorithm((1, 1)) == "one_column"
     assert resolve_algorithm((3, 1, 1)) == "hook"
@@ -220,6 +223,18 @@ def test_character_interface():
         character((2,), (1, 1, 1))
     with pytest.raises(ValueError):
         character((2, 1), (2, 1), "nope")
+
+
+@pytest.mark.parametrize("algorithm", ALGORITHM_NAMES)
+@pytest.mark.parametrize("lam, mu", [
+    ((2, 3), (5,)),           # lambda not a partition
+    ((3, 0), (3,)),           # zero part in lambda
+    ((3,), (4, -1)),          # negative part in mu
+    ((2,), (1.0, 1.0)),       # non-int parts in mu
+])
+def test_character_rejects_malformed_indices(lam, mu, algorithm):
+    with pytest.raises(ValueError):
+        character(lam, mu, algorithm)
 
 
 def test_closed_form_algorithms_reject_wrong_shapes():
@@ -237,14 +252,14 @@ def test_closed_form_algorithms_reject_wrong_shapes():
 
 
 def test_clear_caches_resets_state():
-    from heckechar.characters import clear_caches, _char_cache
+    from heckechar.characters import clear_caches, _mn_cached
     from heckechar.applications import bitrace, entry_weight
     character((3, 2, 1), (2, 2, 1, 1))
     bitrace((2, 1), (3,))
-    assert _char_cache
+    assert _mn_cached.cache_info().currsize
     assert entry_weight.cache_info().currsize
     clear_caches()
-    assert not _char_cache
+    assert _mn_cached.cache_info().currsize == 0
     assert entry_weight.cache_info().currsize == 0
     assert character((3, 2, 1), (2, 2, 1, 1)) == 4 * (T - ONE) ** 2
 
@@ -303,6 +318,28 @@ def test_table_round_trip_bit_exact():
     # reverse-lexicographic entry order
     lams = [tuple(e["lambda"]) for e in doc["entries"]]
     assert lams == sorted(lams, reverse=True)
+
+
+# SHA-256 of dumps_table(char_table(n)) for n = 0..10
+TABLE_DIGESTS = (
+    "d2f40b0d585317cd3e44fded6ba2e1ebcad52b30e1a811f1d7ea0c6b17e6449e",
+    "6a91bd0be5e2180ee663fad3c76f81fd11c147319f9654e2441c2ee70ddf1d66",
+    "982aa884f8412d09a88252f68bf2fc7ad733ef52aaf46b7f7aa8b4103fce37e1",
+    "b81cdcc83fb06531138a18278ec5ae071c411906643c9c1b8be8e453a3af2322",
+    "6c688c66aafab8dad88ee17c6e9361852ffd3f40d5625b1b980cb4261dbcd3da",
+    "92f6614e6b14ebd322a25488ac00d686f56421deaafbf730470741f825771fa4",
+    "82a9b9b78535583741817c45205ede592f605906088379e6b32906998ce085a5",
+    "9dab3b37b33e51fdba188a51c143e2b8c601c95851dc7b8d97eb7b1a25fb9dda",
+    "f99ee1bbc184310b6e3faccaea0f5fcc188278350357f07e89061e5c19c1251b",
+    "0923cb7fcc1097840ea063d20578b0c2ac32e215ea9a28eb865ba542296174a2",
+    "a9880ff8eaadc9171b37c96cd0c33d0cbd487e308fcf7ce8963d11324971abda",
+)
+
+
+def test_table_bytes_pinned():
+    for n, digest in enumerate(TABLE_DIGESTS):
+        text = dumps_table(char_table(n))
+        assert hashlib.sha256(text.encode()).hexdigest() == digest, n
 
 
 def test_table_file_round_trip(tmp_path):

@@ -136,9 +136,11 @@ def test_verify_single_suite(capsys):
 
 
 def test_verify_unknown_suite_exits_2(capsys):
-    with pytest.raises(SystemExit) as exc:
-        main(["verify", "--suites", "bogus"])
-    assert exc.value.code == 2
+    # an empty selection would run nothing and pass
+    for suites in ("bogus", "", " , "):
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", "--suites", suites])
+        assert exc.value.code == 2, suites
 
 
 @pytest.fixture

@@ -131,8 +131,6 @@ def test_rational_errors():
 def test_polyv():
     two_factors = polyv_product([PolyV([1, 1]), PolyV([1, 1])])
     assert two_factors == PolyV([1, 2, 1])
-    truncated = polyv_product([PolyV([1, 1]), PolyV([1, 1])], truncate_at=1)
-    assert truncated == PolyV([1, 2])
     tinv = monomial(1, -1)
     mixed = polyv_product([PolyV([ONE, -tinv]), PolyV([1, 1])])
     assert mixed == PolyV([ONE, ONE - tinv, -tinv])

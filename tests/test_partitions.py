@@ -1,4 +1,5 @@
 import math
+import random
 from concurrent.futures import ThreadPoolExecutor
 
 import pytest
@@ -9,7 +10,7 @@ from heckechar.partitions import (
     parse_partition, partition_tuples, partitions_of,
     standard_tableaux_count, strip_removals, sub_compositions,
 )
-from oracles import brute_standard_count
+from oracles import box_skew_analysis, brute_standard_count
 
 
 def test_conjugate_examples():
@@ -115,6 +116,34 @@ def test_analyze_skew_examples():
 
     flag, comps = analyze_skew(SkewShape((3, 2), (3, 2)))
     assert flag and comps == ()
+
+
+def _row_analysis(outer, inner):
+    flag, comps = analyze_skew(SkewShape(outer, inner))
+    return flag, tuple((c.rows, c.cols, c.size) for c in comps)
+
+
+def test_analyze_skew_matches_box_analysis():
+    pairs = 0
+    for n in range(10):
+        for lam in partitions_of(n):
+            for m in range(n + 1):
+                for mu in partitions_of(m):
+                    if len(mu) <= len(lam) and all(
+                            p <= lam[i] for i, p in enumerate(mu)):
+                        pairs += 1
+                        assert _row_analysis(lam, mu) == \
+                            box_skew_analysis(lam, mu), (lam, mu)
+    assert pairs == 1592
+    # rows that are arbitrary column intervals, not a partition's
+    rng = random.Random(2104)
+    for _ in range(5000):
+        rows = [sorted(rng.randrange(7) for _ in range(2))
+                for _ in range(rng.randrange(7))]
+        outer = tuple(hi for _, hi in rows)
+        inner = tuple(lo for lo, _ in rows)[:rng.randrange(len(rows) + 1)]
+        assert _row_analysis(outer, inner) == \
+            box_skew_analysis(outer, inner), (outer, inner)
 
 
 def test_skew_shape_validation():
