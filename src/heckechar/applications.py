@@ -10,8 +10,8 @@ from __future__ import annotations
 
 from .laurent import ZERO, ONE, T, LaurentPoly
 from .partitions import (
-    check_weights, contingency_matrices, partitions_of, sort_to_partition,
-    weight,
+    check_composition, check_weights, contingency_matrices, partitions_of,
+    sort_to_partition, weight,
 )
 from .characters import _cached, _qm1_pow, character
 
@@ -118,8 +118,7 @@ def bracket_identity_check(k):
 def gram_pairing(lam, mu):
     """Pairing of two products of deformed one-row functions: the sum over
     contingency matrices of the product of entry weights."""
-    lam = tuple(lam)
-    mu = tuple(mu)
+    lam, mu = check_composition(lam), check_composition(mu)
     check_weights(lam, mu)
     total = ZERO
     for matrix in contingency_matrices(lam, mu):
@@ -140,8 +139,8 @@ def bitrace(lam, mu, method="matrices"):
     products of irreducible characters.  Zero parts are trimmed first
     (they contribute empty rows/columns and would skew the exponent).
     """
-    lam = tuple(p for p in lam if p)
-    mu = tuple(p for p in mu if p)
+    lam = tuple(p for p in check_composition(lam) if p)
+    mu = tuple(p for p in check_composition(mu) if p)
     check_weights(lam, mu)
     n = weight(lam)
     if n < 1:
@@ -162,8 +161,8 @@ def bitrace(lam, mu, method="matrices"):
 def bitrace_via_gram(lam, mu):
     """Normalization consistency route: q^(2n) (q-1)^(-r-s) times the
     gram pairing with the variable inverted."""
-    lam = tuple(p for p in lam if p)
-    mu = tuple(p for p in mu if p)
+    lam = tuple(p for p in check_composition(lam) if p)
+    mu = tuple(p for p in check_composition(mu) if p)
     check_weights(lam, mu)
     n = weight(lam)
     h = gram_pairing(lam, mu).invert_variable().shift(2 * n)

@@ -26,12 +26,15 @@ already for mu=(1).
 from __future__ import annotations
 
 import json
+import os
+import tempfile
 from dataclasses import dataclass, field
 from functools import lru_cache
+from math import factorial, prod
 
 from .laurent import (
-    ZERO, ONE, T, ExactnessError, LaurentPoly, PolyV, RationalFn,
-    monomial, polyv_product,
+    ZERO, ONE, T, ExactnessError, LaurentPoly, PolyV, monomial,
+    polyv_product,
 )
 from .partitions import (
     check_indices, clear_enumeration_caches, nonzero_length,
@@ -182,8 +185,10 @@ def mn_character(lam, mu):
 def character_via_sn(lam, mu):
     """Reduce to classical characters of lower-degree symmetric groups.
 
-    Exact rational accumulation; the final division by (q-1)^len(mu)
-    must come out polynomial.
+    Each term's denominator zint * z_rho divides (n - lam_1)!, because a
+    centralizer order divides its partition's size factorial and the
+    sizes sum to n - lam_1; so integer numerators are summed over that
+    one denominator and a single exact division ends the sum.
     """
     lam, mu = check_indices(lam, mu)
     if not lam:
@@ -191,61 +196,59 @@ def character_via_sn(lam, mu):
     n = weight(mu)
     la1 = lam[0]
     tail = lam[1:]
-    acc = RationalFn(ZERO)
+    fact = factorial(n - la1)
+    acc = ZERO
     for i in range(la1, n + 1):
-        shift_i = monomial(1, i)
         for tau in sub_compositions(mu, i):
-            base = shift_i * (ONE_MINUS_TINV ** nonzero_length(tau))
+            base = (ONE_MINUS_TINV ** nonzero_length(tau)).shift(i)
             rem = tuple(mu[j] - tau[j] for j in range(len(mu)))
             for nu_tuple in partition_tuples(rem):
-                lnu = sum(len(b) for b in nu_tuple)
-                zint = 1
-                zpoly = ONE
-                parts = []
-                for block in nu_tuple:
-                    zint *= centralizer_order(block)
-                    zpoly = zpoly * centralizer_poly_factors(block)
-                    parts.extend(block)
+                parts = [p for block in nu_tuple for p in block]
+                zint = prod(map(centralizer_order, nu_tuple))
+                numer = 0
                 for rho in partitions_of(i - la1):
                     chi = classical_character(
                         tail, sort_to_partition(parts + list(rho)))
-                    if not chi:
-                        continue
-                    if (lnu + len(rho)) % 2:
+                    if (len(parts) + len(rho)) % 2:
                         chi = -chi
-                    acc = acc + RationalFn(
-                        base * zpoly * chi, zint * centralizer_order(rho))
-    result = acc / RationalFn(_qm1_pow(len(mu)))
-    return result.to_laurent()
+                    numer += chi * (fact // (zint * centralizer_order(rho)))
+                if numer:
+                    zpoly = centralizer_poly_factors(sort_to_partition(parts))
+                    acc = acc + base * zpoly * numer
+    return acc.divexact(_qm1_pow(len(mu)) * fact)
 
 
 @_cached
-def _newton_at_inverse(m):
-    # Newton transition coefficients with the variable inverted once,
-    # reused across the recursion
-    return {rho: c.invert_variable() for rho, c in newton_coeffs(m).items()}
+def _newton_scaled(top):
+    # P(1/t), and newton_coeffs(m) * P at 1/t for each m <= top
+    p = prod((monomial(1, k) - ONE for k in range(1, top + 1)), start=ONE)
+    return p.invert_variable(), [
+        {rho: (c * p).to_laurent().invert_variable()
+         for rho, c in newton_coeffs(m).items()} for m in range(top + 1)]
 
 
 @_cached
 def _via_newton_cached(lam, mu):
+    """Every newton_coeffs(m) used here has m <= top = n - lam_1, so its
+    denominators divide P = prod_{k <= top} (t^k - 1).  The sum runs over
+    the coefficients times P, all at 1/t, and one exact division by
+    P(1/t) * (t-1)^len(mu) ends it."""
     if not lam:
         return ONE if not mu else ZERO
     n = weight(mu)
     la1 = lam[0]
     tail = lam[1:]
-    acc = RationalFn(ZERO)
+    den, scaled = _newton_scaled(n - la1)
+    acc = ZERO
     for i in range(la1, n + 1):
         for tau in sub_compositions(mu, i):
             rem_star = sort_to_partition(mu[j] - tau[j] for j in range(len(mu)))
             base = (ONE_MINUS_TINV ** nonzero_length(tau)) * _qm1_pow(len(rem_star))
-            for rho, c in _newton_at_inverse(i - la1).items():
+            for rho, c in scaled[i - la1].items():
                 sub = _via_newton_cached(
                     tail, sort_to_partition(rem_star + rho))
-                if sub.is_zero():
-                    continue
-                acc = acc + c * RationalFn(base * _qm1_pow(len(rho)) * sub)
-    result = acc * RationalFn(monomial(1, la1)) / RationalFn(_qm1_pow(len(mu)))
-    return result.to_laurent()
+                acc = acc + c * (base * _qm1_pow(len(rho)) * sub)
+    return acc.shift(la1).divexact(den * _qm1_pow(len(mu)))
 
 
 def character_via_newton(lam, mu):
@@ -403,11 +406,19 @@ def document_to_table(doc):
         raise ValueError(f"unsupported format_version {doc.get('format_version')!r}")
     if doc.get("variable") != "q":
         raise ValueError(f"unexpected variable {doc.get('variable')!r}")
-    table = CharTable(n=doc["n"])
+    n = doc.get("n")
+    if not isinstance(n, int) or n < 0:
+        raise ValueError(f"bad degree n={n!r}")
+    table = CharTable(n=n)
     for entry in doc["entries"]:
         key = (tuple(entry["lambda"]), tuple(entry["mu"]))
         table.entries[key] = LaurentPoly.from_pairs(entry["poly"])
         table.provenance[key] = entry["algorithm"]
+    # no key twice, p(n)^2 keys, each index a partition of n: every pair once
+    parts, keys = set(partitions_of(n)), table.entries.keys()
+    if len(doc["entries"]) != len(keys) or len(keys) != len(parts) ** 2 or \
+            {lam for lam, _ in keys} | {mu for _, mu in keys} != parts:
+        raise ValueError(f"the entries are not each pair of partitions of {n} once")
     return table
 
 
@@ -421,8 +432,18 @@ def loads_table(text):
 
 
 def save_table(table, path):
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(dumps_table(table))
+    """Write atomically: a failed save leaves an existing file as it was."""
+    text = dumps_table(table)
+    fd, tmp = tempfile.mkstemp(dir=os.path.dirname(os.path.abspath(path)))
+    try:
+        with os.fdopen(fd, "w", encoding="utf-8") as fh:
+            fh.write(text)
+            fh.flush()
+            os.fsync(fh.fileno())
+        os.replace(tmp, path)
+    finally:
+        if os.path.exists(tmp):
+            os.remove(tmp)
 
 
 def load_table(path):

@@ -430,11 +430,6 @@ class RationalFn:
             raise ZeroDivisionError("division by zero rational function")
         return RationalFn(self.num * other.den, self.den * other.num)
 
-    def __pow__(self, n):
-        if not isinstance(n, int) or n < 0:
-            raise ValueError("exponent must be a non-negative integer")
-        return RationalFn(self.num ** n, self.den ** n)
-
     def __eq__(self, other):
         other = RationalFn._coerce(other)
         if other is None:
@@ -444,9 +439,6 @@ class RationalFn:
 
     def __hash__(self):
         return hash((self.num, self.den))
-
-    def invert_variable(self):
-        return RationalFn(self.num.invert_variable(), self.den.invert_variable())
 
     def to_laurent(self):
         """Convert to LaurentPoly; exact iff the denominator is the unit."""

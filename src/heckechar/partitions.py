@@ -35,15 +35,23 @@ def clear_enumeration_caches():
         fn.cache_clear()
 
 
-def is_partition(parts):
-    return all(isinstance(p, int) and p >= 1 for p in parts) and \
-        all(parts[i] >= parts[i + 1] for i in range(len(parts) - 1))
-
-
 def check_partition(parts):
+    """``parts`` as a tuple; ValueError unless it is a partition."""
     parts = tuple(parts)
-    if not is_partition(parts):
-        raise ValueError(f"not a partition: {parts}")
+    prev = parts[0] if parts else 0
+    for p in parts:
+        if not (isinstance(p, int) and 1 <= p <= prev):
+            raise ValueError(f"not a partition: {parts}")
+        prev = p
+    return parts
+
+
+def check_composition(parts):
+    """``parts`` as a tuple; ValueError unless every part is an int >= 0."""
+    parts = tuple(parts)
+    for p in parts:
+        if not (isinstance(p, int) and p >= 0):
+            raise ValueError(f"not a composition: {parts}")
     return parts
 
 
@@ -68,17 +76,8 @@ def check_indices(lam, mu):
     weight (non-negative int parts, in any order); zero parts of ``mu``
     are dropped.
     """
-    lam = tuple(lam)
-    prev = lam[0] if lam else 0
-    for p in lam:
-        if not (isinstance(p, int) and 1 <= p <= prev):
-            raise ValueError(f"not a partition: {lam}")
-        prev = p
-    mu = tuple(mu)
-    for p in mu:
-        if not (isinstance(p, int) and p >= 0):
-            raise ValueError(f"not a composition: {mu}")
-    mu = sort_to_partition(mu)
+    lam = check_partition(lam)
+    mu = sort_to_partition(check_composition(mu))
     check_weights(lam, mu)
     return lam, mu
 
@@ -88,29 +87,23 @@ def nonzero_length(parts):
     return sum(1 for p in parts if p)
 
 
-def parse_partition(text):
-    """Parse "4,2,1"; "-" denotes the empty partition."""
+def _parse_parts(text, kind):
     text = text.strip()
     if text == "-" or text == "":
         return ()
     try:
-        parts = tuple(int(p) for p in text.split(","))
+        return tuple(int(p) for p in text.split(","))
     except ValueError:
-        raise ValueError(f"cannot parse partition from {text!r}") from None
-    return check_partition(parts)
+        raise ValueError(f"cannot parse {kind} from {text!r}") from None
+
+
+def parse_partition(text):
+    """Parse "4,2,1"; "-" denotes the empty partition."""
+    return check_partition(_parse_parts(text, "partition"))
 
 
 def parse_composition(text):
-    text = text.strip()
-    if text == "-" or text == "":
-        return ()
-    try:
-        parts = tuple(int(p) for p in text.split(","))
-    except ValueError:
-        raise ValueError(f"cannot parse composition from {text!r}") from None
-    if any(p < 0 for p in parts):
-        raise ValueError(f"negative part in composition {parts}")
-    return parts
+    return check_composition(_parse_parts(text, "composition"))
 
 
 def format_partition(parts):

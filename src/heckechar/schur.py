@@ -91,9 +91,8 @@ def straighten(mu):
 class SchurVector:
     """Formal combination of equal-weight partitions with ring coefficients.
 
-    Coefficients are LaurentPolys along the peeling paths (every peel
-    weight is an honest polynomial); RationalFn coefficients are accepted
-    wherever they arise.  No zero coefficients are stored.
+    Coefficients are LaurentPolys: every peel weight is an honest
+    polynomial.  No zero coefficients are stored.
     """
 
     __slots__ = ("entries",)
@@ -300,11 +299,7 @@ def _pairing_cached(lam, mu, strategy):
         vec = peel(k, vec)
         if vec.is_zero():
             return ZERO
-    c = vec.coefficient(())
-    if isinstance(c, RationalFn):
-        # denominators must have cancelled along the way
-        c = c.to_laurent()
-    return c
+    return vec.coefficient(())
 
 
 def pairing_polynomial(lam, mu, strategy="strips"):

@@ -171,3 +171,17 @@ def test_bitrace_errors():
         bitrace((), ())
     with pytest.raises(ValueError):
         bitrace((2,), (2,), "bogus")
+
+
+@pytest.mark.parametrize("lam, mu", [
+    ((3, -1), (2,)),          # negative part
+    ((2,), (1.0, 1.0)),       # non-int parts
+])
+def test_bitrace_rejects_malformed_compositions(lam, mu):
+    routes = (lambda a, b: bitrace(a, b, "matrices"),
+              lambda a, b: bitrace(a, b, "char_sum"),
+              bitrace_via_gram, gram_pairing)
+    for route in routes:
+        for args in ((lam, mu), (mu, lam)):
+            with pytest.raises(ValueError):
+                route(*args)

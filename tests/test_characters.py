@@ -359,6 +359,39 @@ def test_document_validation():
         document_to_table(doc)
 
 
+def test_loads_table_rejects_wrong_entry_sets():
+    # the reader requires every pair of partitions of n as a key, once each
+    def truncated(doc):
+        doc["entries"] = doc["entries"][:2]
+
+    def non_partition(doc):
+        doc["entries"][4]["lambda"] = [1, 2]
+
+    def wrong_n(doc):
+        doc["n"] = 4
+
+    def duplicated(doc):
+        doc["entries"].append(dict(doc["entries"][0]))
+
+    for corrupt in (truncated, non_partition, wrong_n, duplicated):
+        doc = json.loads(dumps_table(char_table(3)))
+        assert doc["entries"][4]["lambda"] == [2, 1]
+        corrupt(doc)
+        with pytest.raises(ValueError):
+            loads_table(json.dumps(doc))
+
+
+def test_save_table_failure_keeps_old_file(tmp_path):
+    from heckechar.characters import save_table
+    path = tmp_path / "table3.json"
+    save_table(char_table(3), path)
+    before = path.read_bytes()
+    with pytest.raises(KeyError):
+        save_table(CharTable(n=3), path)   # no entries: serialising fails
+    assert path.read_bytes() == before
+    assert [p.name for p in tmp_path.iterdir()] == ["table3.json"]
+
+
 def test_entry_document_schema():
     doc = entry_document((2, 1), (2, 1), "mn", T - ONE)
     assert json.loads(json.dumps(doc)) == {
