@@ -7,7 +7,9 @@ import pytest
 from heckechar.laurent import (
     ONE, T, ZERO, ExactnessError, LaurentPoly, RationalFn, monomial,
 )
-from heckechar.partitions import partitions_of, standard_tableaux_count
+from heckechar.partitions import (
+    format_partition, partitions_of, standard_tableaux_count,
+)
 from heckechar.schur import classical_character, pairing_polynomial
 from heckechar.characters import (
     ALGORITHMS, ALGORITHM_NAMES, CharTable, char_table, character,
@@ -318,6 +320,37 @@ def test_table_round_trip_bit_exact():
     # reverse-lexicographic entry order
     lams = [tuple(e["lambda"]) for e in doc["entries"]]
     assert lams == sorted(lams, reverse=True)
+
+
+# SHA-256 of the (lambda, mu, to_pairs()) rows of char_table(n) for
+# n = 0..10: the values alone, independent of the provenance tags
+VALUE_DIGESTS = (
+    "48a92cf11c8baddf719f5d65500a4674f743b732d95f75bbb040dd6b36e5fa1a",
+    "17c26e7e2a0ed4b9981ce07e770efe416932ee9e8c7140c408d7d375dbdfa45b",
+    "f26569ae9096cd78f2fcfed97ece2fd6ebb01ba0960fd5736b456b81cf38ca7c",
+    "d702c70f20629fb98cab6d00dce74dc1ad8ec2ef560e4485ad4402c9b7cdd9da",
+    "4781f72f89cbd3eb84473566bf037519c3e7cfaa89cd0f06a7acfe4329075324",
+    "701a34df61848ddd603974bf3efeac273cd61e5f5ea800e9085302abd55b8815",
+    "d476b4db3323ceab963af93ae671ec0341a37e7eab6639c59d032896ad3dce8d",
+    "4e59fee5aa263b865b6e00f417eab7a1a14ebe998c5d1c491910a4f276cdcb75",
+    "b94368c176f275c6a5bcf2e6e321cad12d80b5796887fc8fa9e9212ab85817f8",
+    "be2e4ca97c94c11dbe138af4989128c5eb2b5846e32e4ccaab07947b5bc5632e",
+    "56050958216d9bdfdfdfc5707ec9608a360ad2ef67767fd5007a587bfc2ea39c",
+)
+
+
+def values_digest(table):
+    h = hashlib.sha256()
+    for lam in partitions_of(table.n):
+        for mu in partitions_of(table.n):
+            h.update(f"{format_partition(lam)}|{format_partition(mu)}|"
+                     f"{table.value(lam, mu).to_pairs()}\n".encode())
+    return h.hexdigest()
+
+
+def test_table_values_pinned():
+    for n, digest in enumerate(VALUE_DIGESTS):
+        assert values_digest(char_table(n)) == digest, n
 
 
 # SHA-256 of dumps_table(char_table(n)) for n = 0..10
