@@ -1,12 +1,13 @@
 """Irreducible character values of the type-A Hecke algebra as exact
 polynomials in q.
 
-Public entry point is :func:`character`, which dispatches between:
+Public entry point is :func:`character`, which runs one of:
 
+* the q-deformed Murnaghan-Nakayama recursion over broken border strips
+  (``mn``, also what ``auto`` means for every shape);
 * closed forms for one-row, one-column, hook and two-row shapes, driven
   by two weight sequences obtained from small generating-function
-  products;
-* the q-deformed Murnaghan-Nakayama recursion over broken border strips;
+  products; each is an explicit route only, chosen by its name;
 * the three peeling strategies of :mod:`heckechar.schur` composed with
   the normalization from the generic-variable pairing to the character;
 * the power-sum pairing oracle;
@@ -260,18 +261,6 @@ def character_via_newton(lam, mu):
 
 # -- dispatch ------------------------------------------------------------
 
-def _closed_form_tag(lam):
-    if len(lam) <= 1:
-        return "one_row"
-    if lam[0] == 1:
-        return "one_column"
-    if all(p == 1 for p in lam[1:]):
-        return "hook"
-    if len(lam) == 2:
-        return "two_row"
-    return "mn"
-
-
 def _one_row(lam, mu):
     if len(lam) > 1:
         raise ValueError(f"{lam} is not a one-row shape")
@@ -321,14 +310,15 @@ ALGORITHMS = {
 ALGORITHM_NAMES = ("auto",) + tuple(ALGORITHMS)
 
 
-def resolve_algorithm(lam, algorithm="auto"):
-    """Concrete algorithm tag used for a query (auto picks the cheapest
-    applicable closed form, then the strip recursion)."""
-    if algorithm != "auto":
-        if algorithm not in ALGORITHMS:
-            raise ValueError(f"unknown algorithm {algorithm!r}")
-        return algorithm
-    return _closed_form_tag(tuple(lam))
+def resolve_algorithm(algorithm="auto"):
+    """Concrete algorithm tag for a query: ``auto`` is the strip
+    recursion ``mn`` for every shape; the closed forms are reached only
+    by their explicit names."""
+    if algorithm == "auto":
+        return "mn"
+    if algorithm not in ALGORITHMS:
+        raise ValueError(f"unknown algorithm {algorithm!r}")
+    return algorithm
 
 
 def character(lam, mu, algorithm="auto"):
@@ -340,7 +330,7 @@ def character(lam, mu, algorithm="auto"):
     lam, mu = check_indices(lam, mu)
     if not lam:
         return ONE
-    return ALGORITHMS[resolve_algorithm(lam, algorithm)](lam, mu)
+    return ALGORITHMS[resolve_algorithm(algorithm)](lam, mu)
 
 
 def clear_caches():
@@ -375,13 +365,13 @@ def char_table(n, algorithm="auto"):
     """
     if n < 0:
         raise ValueError("n must be non-negative")
+    tag = resolve_algorithm(algorithm)
     table = CharTable(n=n)
     parts = partitions_of(n)
     for lam in parts:
-        tag = resolve_algorithm(lam, algorithm)
         for mu in parts:
             table.provenance[(lam, mu)] = tag
-            table.entries[(lam, mu)] = character(lam, mu, algorithm)
+            table.entries[(lam, mu)] = character(lam, mu, tag)
     return table
 
 

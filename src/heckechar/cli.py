@@ -94,7 +94,7 @@ def _cmd_char(args, parser):
     except ValueError as err:
         parser.error(str(err))
     if args.format == "json":
-        tag = resolve_algorithm(lam, args.algorithm)
+        tag = resolve_algorithm(args.algorithm)
         doc = entry_document(lam, sort_to_partition(mu), tag, value)
         print(json.dumps(doc))
     else:

@@ -190,7 +190,8 @@ def suite_cross(n_max=5):
 
 
 def check_row_column_laws(n_max=5):
-    """The one-row and one-column characters are signed monomials."""
+    """The one-row and one-column characters, as the default route (the
+    strip recursion) computes them, are signed monomials."""
     failures = []
     for n in range(1, n_max + 1):
         for mu in partitions_of(n):
