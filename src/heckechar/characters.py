@@ -38,9 +38,9 @@ from .laurent import (
     polyv_product,
 )
 from .partitions import (
-    check_indices, clear_enumeration_caches, nonzero_length,
-    partition_tuples, partitions_of, sort_to_partition, strip_removals,
-    sub_compositions, weight,
+    check_composition, check_indices, clear_enumeration_caches,
+    nonzero_length, partition_tuples, partitions_of, sort_to_partition,
+    strip_removals, sub_compositions, weight,
 )
 from .schur import (
     _omt_pow, centralizer_order, centralizer_poly_factors,
@@ -115,7 +115,7 @@ def two_row_weights(mu):
 def hook_character(k, mu):
     """Character at a hook with arm k: the signed tail sum of the hook
     weights evaluated at the character variable."""
-    mu = sort_to_partition(mu)
+    mu = sort_to_partition(check_composition(mu))
     n = weight(mu)
     if not 1 <= k <= n:
         raise ValueError(f"hook arm {k} out of range 1..{n}")
@@ -130,7 +130,7 @@ def hook_character(k, mu):
 
 def two_row_character(k, mu):
     """Character at the two-row shape (k, n-k)."""
-    mu = sort_to_partition(mu)
+    mu = sort_to_partition(check_composition(mu))
     n = weight(mu)
     if not (n - k <= k <= n):
         raise ValueError(f"two-row arm {k} out of range for n={n}")
@@ -142,7 +142,7 @@ def two_row_character(k, mu):
 def two_row_cumulative(mu):
     """Closed form of the sum of all two-row characters at mu:
     q^(n - len(mu)) times the middle two-row weight."""
-    mu = sort_to_partition(mu)
+    mu = sort_to_partition(check_composition(mu))
     n = weight(mu)
     b = two_row_weights(mu)
     return b[n // 2].shift(n - len(mu))

@@ -7,6 +7,9 @@ from heckechar.partitions import (
     partition_tuples, partitions_of, standard_tableaux_count,
 )
 from heckechar.schur import centralizer_order, deformed_centralizer
+from heckechar.characters import (
+    hook_character, two_row_character, two_row_cumulative,
+)
 from heckechar.applications import (
     bitrace, bitrace_via_gram, bracket_identity_check, entry_weight,
     gram_pairing, neg_q_bracket, supercharacter_hooks,
@@ -52,9 +55,9 @@ def character_sum_hooks_by_hand():
 def test_supercharacter_identities_sweep():
     for n in range(1, 8):
         for mu in partitions_of(n):
-            assert supercharacter_hooks(mu, check=True) == \
+            assert supercharacter_hooks(mu) == \
                 supercharacter_hooks_explicit(mu)
-            assert supercharacter_two_rows(mu, check=True) == \
+            assert supercharacter_two_rows(mu) == \
                 supercharacter_two_rows_explicit(mu)
 
 
@@ -185,3 +188,16 @@ def test_bitrace_rejects_malformed_compositions(lam, mu):
         for args in ((lam, mu), (mu, lam)):
             with pytest.raises(ValueError):
                 route(*args)
+
+
+@pytest.mark.parametrize("route", [
+    lambda mu: hook_character(1, mu),
+    lambda mu: two_row_character(1, mu),
+    two_row_cumulative,
+    supercharacter_hooks, supercharacter_hooks_explicit,
+    supercharacter_two_rows, supercharacter_two_rows_explicit,
+])
+@pytest.mark.parametrize("mu", [(2, -1), (3, -1), (1.0, 1.0)])
+def test_lone_mu_rejects_malformed_compositions(route, mu):
+    with pytest.raises(ValueError):
+        route(mu)
