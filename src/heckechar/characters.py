@@ -39,8 +39,8 @@ from .laurent import (
 )
 from .partitions import (
     check_composition, check_indices, clear_enumeration_caches,
-    nonzero_length, partition_tuples, partitions_of, sort_to_partition,
-    strip_removals, sub_compositions, weight,
+    nonzero_length, partition_count, partition_tuples, partitions_of,
+    sort_to_partition, strip_removals, sub_compositions, weight,
 )
 from .schur import (
     _omt_pow, centralizer_order, centralizer_poly_factors,
@@ -392,6 +392,8 @@ def table_to_document(table):
 
 
 def document_to_table(doc):
+    if not isinstance(doc, dict):
+        raise ValueError("a table document must be a JSON object")
     if doc.get("format_version") != FORMAT_VERSION:
         raise ValueError(f"unsupported format_version {doc.get('format_version')!r}")
     if doc.get("variable") != "q":
@@ -399,16 +401,25 @@ def document_to_table(doc):
     n = doc.get("n")
     if not isinstance(n, int) or n < 0:
         raise ValueError(f"bad degree n={n!r}")
+    entries = doc.get("entries")
+    wrong = f"the entries are not each pair of partitions of {n} once"
+    # p(n) >= n, so n * n bounds the recurrence's work by the entry count
+    if not isinstance(entries, list) or n * n > len(entries) or \
+            partition_count(n) ** 2 != len(entries):
+        raise ValueError(wrong)
     table = CharTable(n=n)
-    for entry in doc["entries"]:
-        key = (tuple(entry["lambda"]), tuple(entry["mu"]))
-        table.entries[key] = LaurentPoly.from_pairs(entry["poly"])
-        table.provenance[key] = entry["algorithm"]
-    # no key twice, p(n)^2 keys, each index a partition of n: every pair once
-    parts, keys = set(partitions_of(n)), table.entries.keys()
-    if len(doc["entries"]) != len(keys) or len(keys) != len(parts) ** 2 or \
-            {lam for lam, _ in keys} | {mu for _, mu in keys} != parts:
-        raise ValueError(f"the entries are not each pair of partitions of {n} once")
+    for entry in entries:
+        try:
+            key = (tuple(entry["lambda"]), tuple(entry["mu"]))
+            table.entries[key] = LaurentPoly.from_pairs(entry["poly"])
+            table.provenance[key] = entry["algorithm"]
+        except (KeyError, TypeError) as err:
+            raise ValueError(f"malformed table entry {entry!r}") from err
+    # no key twice and each index a partition of n: every pair once
+    keys = table.entries.keys()
+    indices = {lam for lam, _ in keys} | {mu for _, mu in keys}
+    if len(keys) != len(entries) or indices != set(partitions_of(n)):
+        raise ValueError(wrong)
     return table
 
 

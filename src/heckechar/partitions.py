@@ -204,6 +204,21 @@ def partitions_of(n):
     return tuple(rec(n, n))
 
 
+def partition_count(n):
+    """p(n) by Euler's pentagonal recurrence, without enumerating."""
+    p = [1]
+    for m in range(1, n + 1):
+        total, k = 0, 1
+        while k * (3 * k - 1) // 2 <= m:
+            sign = 1 if k % 2 else -1
+            total += sign * p[m - k * (3 * k - 1) // 2]
+            if k * (3 * k + 1) // 2 <= m:
+                total += sign * p[m - k * (3 * k + 1) // 2]
+            k += 1
+        p.append(total)
+    return p[n] if n >= 0 else 0
+
+
 def partition_tuples(nu):
     """Stream all tuples (rho_1, ..., rho_r) with rho_i a partition of nu_i."""
     return itertools.product(*(partitions_of(k) for k in nu))

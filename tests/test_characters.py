@@ -408,12 +408,37 @@ def test_loads_table_rejects_wrong_entry_sets():
     def duplicated(doc):
         doc["entries"].append(dict(doc["entries"][0]))
 
-    for corrupt in (truncated, non_partition, wrong_n, duplicated):
+    def no_entries(doc):
+        del doc["entries"]
+
+    def no_lambda(doc):
+        del doc["entries"][4]["lambda"]
+
+    def entry_not_object(doc):
+        doc["entries"][4] = 5
+
+    def poly_not_pairs(doc):
+        doc["entries"][4]["poly"] = 5
+
+    for corrupt in (truncated, non_partition, wrong_n, duplicated,
+                    no_entries, no_lambda, entry_not_object, poly_not_pairs):
         doc = json.loads(dumps_table(char_table(3)))
         assert doc["entries"][4]["lambda"] == [2, 1]
         corrupt(doc)
         with pytest.raises(ValueError):
             loads_table(json.dumps(doc))
+
+
+def test_loads_table_checks_the_count_before_enumerating():
+    with pytest.raises(ValueError):
+        loads_table("[]")
+    doc = json.loads(dumps_table(char_table(3)))
+    doc["n"], doc["entries"] = 60, doc["entries"][:1]
+    before = partitions_of.cache_info()
+    with pytest.raises(ValueError):
+        loads_table(json.dumps(doc))
+    after = partitions_of.cache_info()
+    assert (after.hits, after.misses) == (before.hits, before.misses)
 
 
 def test_save_table_failure_keeps_old_file(tmp_path):

@@ -7,7 +7,7 @@ import pytest
 from heckechar.partitions import (
     SkewShape, analyze_skew, conjugate, contingency_matrices,
     format_partition, inner_corner_removals, parse_composition,
-    parse_partition, partition_tuples, partitions_of,
+    parse_partition, partition_count, partition_tuples, partitions_of,
     standard_tableaux_count, strip_removals, sub_compositions,
 )
 from oracles import box_skew_analysis, brute_standard_count
@@ -93,6 +93,10 @@ def test_partitions_of():
     assert partitions_of(4) == ((4,), (3, 1), (2, 2), (2, 1, 1), (1, 1, 1, 1))
     assert partitions_of(0) == ((),)
     assert len(partitions_of(8)) == 22
+    # Euler's recurrence counts what the enumeration lists
+    assert [partition_count(n) for n in range(21)] == \
+        [len(partitions_of(n)) for n in range(21)]
+    assert partition_count(100) == 190569292
 
 
 def test_partition_tuples():
