@@ -157,14 +157,19 @@ def _cmd_verify(args, parser):
 
 
 def _cmd_bench(args, parser):
+    if args.n < 0:
+        parser.error("n must be non-negative")
+    if args.repetitions < 1:
+        parser.error("repetitions must be at least 1")
     algorithms = [a.strip() for a in args.algorithms.split(",") if a.strip()]
+    if not algorithms:
+        parser.error("no algorithm selected")
     for alg in algorithms:
         if alg not in ALGORITHM_NAMES:
             parser.error(f"unknown algorithm {alg!r}")
-    reps = max(1, args.repetitions)
     for alg in algorithms:
         best = None
-        for _ in range(reps):
+        for _ in range(args.repetitions):
             clear_caches()
             start = time.perf_counter()
             char_table(args.n, algorithm=alg)

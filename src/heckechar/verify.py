@@ -281,6 +281,8 @@ def run_suites(names, n_max=5):
         names = SUITE_NAMES
     if not names:
         raise ValueError("no suite selected")
+    if n_max < 1:
+        raise ValueError(f"n_max must be at least 1, not {n_max}")
     for name in names:
         if name not in SUITES:
             raise ValueError(f"unknown suite {name!r}")

@@ -59,12 +59,16 @@ def test_char_bad_partition_exits_2(capsys):
 
 
 def test_unknown_flag_exits_2():
-    with pytest.raises(SystemExit) as exc:
-        main(["char", "--lambda", "2", "--mu", "2", "--frobnicate"])
-    assert exc.value.code == 2
-    with pytest.raises(SystemExit) as exc:
-        main(["table", "--n", "3", "--jobs", "2"])
-    assert exc.value.code == 2
+    for argv in (["char", "--lambda", "2", "--mu", "2", "--frobnicate"],
+                 ["table", "--n", "3", "--jobs", "2"],
+                 ["verify", "--n-max", "0"],
+                 ["verify", "--n-max", "-3"],
+                 ["bench", "--n", "-1"],
+                 ["bench", "--n", "3", "--algorithms", ","],
+                 ["bench", "--n", "3", "--repetitions", "-5"]):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2, argv
 
 
 def test_table_json_round_trips(capsys):
