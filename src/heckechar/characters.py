@@ -402,24 +402,23 @@ def document_to_table(doc):
     if not isinstance(n, int) or n < 0:
         raise ValueError(f"bad degree n={n!r}")
     entries = doc.get("entries")
-    wrong = f"the entries are not each pair of partitions of {n} once"
     # p(n) >= n, so n * n bounds the recurrence's work by the entry count
     if not isinstance(entries, list) or n * n > len(entries) or \
             partition_count(n) ** 2 != len(entries):
-        raise ValueError(wrong)
+        raise ValueError(f"a table of degree {n} needs p({n})^2 entries")
     table = CharTable(n=n)
-    for entry in entries:
-        try:
+    try:
+        for entry in entries:
             key = (tuple(entry["lambda"]), tuple(entry["mu"]))
             table.entries[key] = LaurentPoly.from_pairs(entry["poly"])
             table.provenance[key] = entry["algorithm"]
-        except (KeyError, TypeError) as err:
-            raise ValueError(f"malformed table entry {entry!r}") from err
+    except (KeyError, TypeError) as err:
+        raise ValueError(f"malformed table entry: {err!r}") from err
     # no key twice and each index a partition of n: every pair once
-    keys = table.entries.keys()
-    indices = {lam for lam, _ in keys} | {mu for _, mu in keys}
-    if len(keys) != len(entries) or indices != set(partitions_of(n)):
-        raise ValueError(wrong)
+    parts, keys = set(partitions_of(n)), table.entries.keys()
+    if len(entries) != len(keys) or \
+            {lam for lam, _ in keys} | {mu for _, mu in keys} != parts:
+        raise ValueError(f"the entries are not each pair of partitions of {n} once")
     return table
 
 

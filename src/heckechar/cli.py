@@ -86,13 +86,10 @@ def _build_parser():
     return parser
 
 
-def _cmd_char(args, parser):
-    try:
-        lam = parse_partition(args.lam)
-        mu = parse_partition(args.mu)
-        value = character(lam, mu, args.algorithm)
-    except ValueError as err:
-        parser.error(str(err))
+def _cmd_char(args):
+    lam = parse_partition(args.lam)
+    mu = parse_partition(args.mu)
+    value = character(lam, mu, args.algorithm)
     if args.format == "json":
         tag = resolve_algorithm(args.algorithm)
         doc = entry_document(lam, sort_to_partition(mu), tag, value)
@@ -102,9 +99,7 @@ def _cmd_char(args, parser):
     return 0
 
 
-def _cmd_table(args, parser):
-    if args.n < 0:
-        parser.error("n must be non-negative")
+def _cmd_table(args):
     table = char_table(args.n, algorithm=args.algorithm)
     cache_path = args.cache or os.environ.get(CACHE_ENV)
     if cache_path:
@@ -125,23 +120,17 @@ def _cmd_table(args, parser):
     return 0
 
 
-def _cmd_bitrace(args, parser):
-    try:
-        lam = parse_composition(args.lam)
-        mu = parse_composition(args.mu)
-        value = bitrace(lam, mu, args.method)
-    except ValueError as err:
-        parser.error(str(err))
+def _cmd_bitrace(args):
+    lam = parse_composition(args.lam)
+    mu = parse_composition(args.mu)
+    value = bitrace(lam, mu, args.method)
     print(value.format("q"))
     return 0
 
 
-def _cmd_verify(args, parser):
+def _cmd_verify(args):
     names = tuple(s.strip() for s in args.suites.split(",") if s.strip())
-    try:
-        report = run_suites(names, n_max=args.n_max)
-    except ValueError as err:
-        parser.error(str(err))
+    report = run_suites(names, n_max=args.n_max)
     failed = False
     for name, failures in report.items():
         if failures:
@@ -156,17 +145,16 @@ def _cmd_verify(args, parser):
     return 0
 
 
-def _cmd_bench(args, parser):
+def _cmd_bench(args):
     if args.n < 0:
-        parser.error("n must be non-negative")
+        raise ValueError("n must be non-negative")
     if args.repetitions < 1:
-        parser.error("repetitions must be at least 1")
+        raise ValueError("repetitions must be at least 1")
     algorithms = [a.strip() for a in args.algorithms.split(",") if a.strip()]
     if not algorithms:
-        parser.error("no algorithm selected")
+        raise ValueError("no algorithm selected")
     for alg in algorithms:
-        if alg not in ALGORITHM_NAMES:
-            parser.error(f"unknown algorithm {alg!r}")
+        resolve_algorithm(alg)
     for alg in algorithms:
         best = None
         for _ in range(args.repetitions):
@@ -191,7 +179,10 @@ _COMMANDS = {
 def main(argv=None):
     parser = _build_parser()
     args = parser.parse_args(argv)
-    return _COMMANDS[args.command](args, parser)
+    try:
+        return _COMMANDS[args.command](args)
+    except ValueError as err:   # malformed input: a usage error, exit 2
+        parser.error(str(err))
 
 
 def console_main():

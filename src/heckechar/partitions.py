@@ -205,18 +205,17 @@ def partitions_of(n):
 
 
 def partition_count(n):
-    """p(n) by Euler's pentagonal recurrence, without enumerating."""
+    """p(n) for n >= 0 by Euler's pentagonal recurrence, which adds
+    +-p(m - g) over the generalized pentagonal numbers g = k(3k -+ 1)/2."""
     p = [1]
     for m in range(1, n + 1):
         total, k = 0, 1
-        while k * (3 * k - 1) // 2 <= m:
-            sign = 1 if k % 2 else -1
-            total += sign * p[m - k * (3 * k - 1) // 2]
-            if k * (3 * k + 1) // 2 <= m:
-                total += sign * p[m - k * (3 * k + 1) // 2]
+        while (g := k * (3 * k - 1) // 2) <= m:
+            pair = p[m - g] + (p[m - g - k] if g + k <= m else 0)
+            total += pair if k % 2 else -pair
             k += 1
         p.append(total)
-    return p[n] if n >= 0 else 0
+    return p[n]
 
 
 def partition_tuples(nu):
