@@ -205,8 +205,8 @@ def partitions_of(n):
 
 
 def partition_count(n):
-    """p(n) for n >= 0 by Euler's pentagonal recurrence, which adds
-    +-p(m - g) over the generalized pentagonal numbers g = k(3k -+ 1)/2."""
+    """p(n) for n >= 0 without enumerating, by Euler's recurrence
+    p(m) = sum_{k>=1} (-1)^(k+1) (p(m - k(3k-1)/2) + p(m - k(3k+1)/2))."""
     p = [1]
     for m in range(1, n + 1):
         total, k = 0, 1
