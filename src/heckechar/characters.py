@@ -31,6 +31,7 @@ import os
 import tempfile
 from dataclasses import dataclass, field
 from functools import lru_cache
+from itertools import chain
 from math import factorial, prod
 
 from .laurent import (
@@ -375,31 +376,24 @@ def char_table(n, algorithm="auto"):
     return table
 
 
-def table_to_document(table):
-    entries = []
-    for lam in partitions_of(table.n):
-        for mu in partitions_of(table.n):
-            key = (lam, mu)
-            entries.append(entry_document(
-                lam, mu, table.provenance.get(key, "unknown"),
-                table.entries[key]))
-    return {
-        "format_version": FORMAT_VERSION,
-        "n": table.n,
-        "variable": "q",
-        "entries": entries,
-    }
-
-
 def document_to_table(doc):
+    """The table a parsed document holds.
+
+    Every field must be in the form the writer emits: int degree and
+    parts, string tags, polynomials as :meth:`LaurentPoly.from_pairs`
+    requires them, and each pair of partitions of ``n`` once.  Anything
+    else raises ValueError, so a loaded table writes back the same
+    values and tags it was read from.
+    """
     if not isinstance(doc, dict):
         raise ValueError("a table document must be a JSON object")
-    if doc.get("format_version") != FORMAT_VERSION:
-        raise ValueError(f"unsupported format_version {doc.get('format_version')!r}")
+    version = doc.get("format_version")
+    if type(version) is not int or version != FORMAT_VERSION:
+        raise ValueError(f"unsupported format_version {version!r}")
     if doc.get("variable") != "q":
         raise ValueError(f"unexpected variable {doc.get('variable')!r}")
     n = doc.get("n")
-    if not isinstance(n, int) or n < 0:
+    if type(n) is not int or n < 0:
         raise ValueError(f"bad degree n={n!r}")
     entries = doc.get("entries")
     # p(n) >= n, so n * n bounds the recurrence's work by the entry count
@@ -410,21 +404,78 @@ def document_to_table(doc):
     try:
         for entry in entries:
             key = (tuple(entry["lambda"]), tuple(entry["mu"]))
+            tag = entry["algorithm"]
+            if type(tag) is not str:
+                raise ValueError(f"tag {tag!r} at {key} is not a string")
             table.entries[key] = LaurentPoly.from_pairs(entry["poly"])
-            table.provenance[key] = entry["algorithm"]
+            table.provenance[key] = tag
     except (KeyError, TypeError) as err:
         raise ValueError(f"malformed table entry: {err!r}") from err
-    # no key twice and each index a partition of n: every pair once
+    # no key twice, every part an int (True and 1.0 hash and compare like
+    # 1, so only their type tells them apart), and each index a partition
+    # of n: every pair once
     parts, keys = set(partitions_of(n)), table.entries.keys()
+    indices = chain.from_iterable(keys)
     if len(entries) != len(keys) or \
+            set(map(type, chain.from_iterable(indices))) - {int} or \
             {lam for lam, _ in keys} | {mu for _, mu in keys} != parts:
         raise ValueError(f"the entries are not each pair of partitions of {n} once")
     return table
 
 
+# An entry of the table text exactly as json.dumps lays it out with an
+# indent of two spaces: entries at depth 2, their lists at depth 3, the
+# [exponent, "coefficient"] pairs at depth 4.
+_ENTRY = ('    {\n      "lambda": %s,\n      "mu": %s,\n'
+          '      "algorithm": %s,\n      "poly": %s\n    }')
+
+
+def _int_list_text(parts):
+    if not parts:
+        return "[]"
+    return "[\n        " + ",\n        ".join(map(str, parts)) + "\n      ]"
+
+
+def _poly_text(poly):
+    terms = poly.terms
+    if not terms:
+        return "[]"
+    return "[\n" + ",\n".join(
+        f'        [\n          {e},\n          "{terms[e]}"\n        ]'
+        for e in sorted(terms)) + "\n      ]"
+
+
+def _table_chunks(table):
+    """The canonical text of a table, one entry per chunk.
+
+    Joined, the chunks are the text ``json.dumps`` gives, with an indent
+    of two and a final newline, for the document holding format_version,
+    n, variable and the entries in reverse-lexicographic (lambda, mu)
+    order, with a missing tag written as "unknown"; p(n) >= 1, so the
+    entry list is never empty.  Each partition's list is formatted once
+    and each tag escaped once, by ``json.dumps`` itself.
+    """
+    parts = partitions_of(table.n)
+    lists = {p: _int_list_text(p) for p in parts}
+    tags = {}
+    yield (f'{{\n  "format_version": {FORMAT_VERSION},\n'
+           f'  "n": {table.n},\n  "variable": "q",\n  "entries": [\n')
+    sep = ""
+    for lam in parts:
+        for mu in parts:
+            key = (lam, mu)
+            tag = table.provenance.get(key, "unknown")
+            if tag not in tags:
+                tags[tag] = json.dumps(tag)
+            yield sep + _ENTRY % (lists[lam], lists[mu], tags[tag],
+                                  _poly_text(table.entries[key]))
+            sep = ",\n"
+    yield "\n  ]\n}\n"
+
+
 def dumps_table(table):
     """Canonical serialization; reading and re-writing is bit-exact."""
-    return json.dumps(table_to_document(table), indent=2) + "\n"
+    return "".join(_table_chunks(table))
 
 
 def loads_table(text):
@@ -433,11 +484,10 @@ def loads_table(text):
 
 def save_table(table, path):
     """Write atomically: a failed save leaves an existing file as it was."""
-    text = dumps_table(table)
     fd, tmp = tempfile.mkstemp(dir=os.path.dirname(os.path.abspath(path)))
     try:
         with os.fdopen(fd, "w", encoding="utf-8") as fh:
-            fh.write(text)
+            fh.writelines(_table_chunks(table))
             fh.flush()
             os.fsync(fh.fileno())
         os.replace(tmp, path)

@@ -64,8 +64,25 @@ class LaurentPoly:
 
     @classmethod
     def from_pairs(cls, pairs):
-        """Build from ``[[exponent, coefficient-as-decimal-string], ...]``."""
-        return cls({int(e): int(c) for e, c in pairs})
+        """Build from ``[[exponent, coefficient-as-decimal-string], ...]``
+        in exactly the form :meth:`to_pairs` writes: a list of pairs with
+        int exponents in strictly ascending order, each coefficient the
+        ``str`` of a nonzero int.  ValueError for anything else, so the
+        pairs read back are the pairs written."""
+        if not isinstance(pairs, list):
+            raise ValueError(f"not a list of pairs: {pairs!r}")
+        terms = {}
+        last = None
+        for e, c in pairs:
+            if type(e) is not int or type(c) is not str or \
+                    (last is not None and e <= last):
+                raise ValueError(f"not a canonical pair: {[e, c]!r}")
+            v = int(c)
+            if not v or str(v) != c:
+                raise ValueError(f"not a canonical coefficient: {c!r}")
+            terms[e] = v
+            last = e
+        return cls._raw(terms)
 
     def to_pairs(self):
         """Serialize as ascending-exponent ``[[exp, str(coeff)], ...]``."""

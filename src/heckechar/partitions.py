@@ -40,17 +40,18 @@ def check_partition(parts):
     parts = tuple(parts)
     prev = parts[0] if parts else 0
     for p in parts:
-        if not (isinstance(p, int) and 1 <= p <= prev):
+        if not (type(p) is int and 1 <= p <= prev):
             raise ValueError(f"not a partition: {parts}")
         prev = p
     return parts
 
 
 def check_composition(parts):
-    """``parts`` as a tuple; ValueError unless every part is an int >= 0."""
+    """``parts`` as a tuple; ValueError unless every part is an int >= 0
+    (a bool is not a part)."""
     parts = tuple(parts)
     for p in parts:
-        if not (isinstance(p, int) and p >= 0):
+        if not (type(p) is int and p >= 0):
             raise ValueError(f"not a composition: {parts}")
     return parts
 

@@ -13,7 +13,7 @@ from __future__ import annotations
 import random
 
 from .laurent import ZERO, ONE, T, LaurentPoly, RationalFn, monomial
-from .partitions import partitions_of, strip_removals
+from .partitions import conjugate, partitions_of, strip_removals
 from .schur import (
     centralizer_order, classical_character, pairing_polynomial,
 )
@@ -183,10 +183,30 @@ def check_identities(n_max=5):
     return failures
 
 
+def check_conjugation_duality(n_max=5):
+    """The duality the paper's determinant formula uses:
+    chi^lam'_mu(q) = (-q)^(n - len(mu)) * chi^lam_mu(1/q), on the
+    default route, for every lam and mu of each n <= n_max."""
+    failures = []
+    for n in range(1, n_max + 1):
+        for lam in partitions_of(n):
+            for mu in partitions_of(n):
+                s = n - len(mu)
+                expected = character(lam, mu).invert_variable().shift(s)
+                if s % 2:
+                    expected = -expected
+                got = character(conjugate(lam), mu)
+                if got != expected:
+                    _fail(failures, check="conjugation_duality", lam=lam,
+                          mu=mu, got=got.format("q"),
+                          expected=expected.format("q"))
+    return failures
+
+
 def suite_cross(n_max=5):
     """Cross-algorithm agreement plus the structural identities."""
     return (check_agreement(n_max) + check_closed_forms(n_max)
-            + check_identities(n_max))
+            + check_identities(n_max) + check_conjugation_duality(n_max))
 
 
 def check_row_column_laws(n_max=5):

@@ -2,8 +2,9 @@
 
 These deliberately share no code with the library paths they check:
 standard fillings are enumerated forwards, symmetric-group characters
-come from alternant coefficient extraction in explicit variables, and
-straightening is done by literal adjacent exchanges.
+come from alternant coefficient extraction in explicit variables,
+straightening is done by literal adjacent exchanges, and the table
+document is built as plain dicts for ``json.dumps`` to lay out.
 """
 
 import itertools
@@ -131,3 +132,28 @@ def box_skew_analysis(outer, inner):
                    and (i + 1, j + 1) in boxes for i, j in boxes)
     return flag, tuple((len({b[0] for b in c}), len({b[1] for b in c}), len(c))
                        for c in comps)
+
+
+def reference_document(table):
+    """The table cache document as the writer's reference builds it.
+
+    Entries run in descending (lambda, mu) tuple order, which is
+    reverse-lexicographic in both indices; a missing tag is "unknown".
+    ``json.dumps(reference_document(t), indent=2) + "\\n"`` is the
+    canonical text.
+    """
+    entries = []
+    for lam, mu in sorted(table.entries, reverse=True):
+        terms = table.entries[(lam, mu)].terms
+        entries.append({
+            "lambda": list(lam),
+            "mu": list(mu),
+            "algorithm": table.provenance.get((lam, mu), "unknown"),
+            "poly": [[e, str(terms[e])] for e in sorted(terms)],
+        })
+    return {
+        "format_version": 1,
+        "n": table.n,
+        "variable": "q",
+        "entries": entries,
+    }

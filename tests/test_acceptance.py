@@ -12,6 +12,7 @@ import time
 import pytest
 
 from heckechar import verify
+from heckechar.characters import ALGORITHMS
 from heckechar.laurent import ONE, T, ExactnessError, RationalFn
 
 N_MAX = 8
@@ -78,3 +79,23 @@ def test_criterion_9_integrity_of_exact_conversions():
     with pytest.raises(ExactnessError):
         (T - ONE).divexact((T - ONE) * 2)
     print("criterion 9 (the exactness guards fire on inexact input): PASS")
+
+
+def test_criterion_10_conjugation_duality():
+    _gate(10, "chi^lam'_mu(q) = (-q)^(n-len(mu)) chi^lam_mu(1/q), n <= 8",
+          verify.check_conjugation_duality)
+
+
+def test_conjugation_duality_names_a_broken_entry(monkeypatch):
+    # negative control: one wrong value of the mn route breaks the
+    # duality at that row and at its conjugate, and the check names both
+    mn = ALGORITHMS["mn"]
+
+    def broken(lam, mu):
+        value = mn(lam, mu)
+        return value + ONE if (lam, mu) == ((3, 1), (2, 2)) else value
+
+    monkeypatch.setitem(ALGORITHMS, "mn", broken)
+    found = {(tuple(f["lam"]), tuple(f["mu"]))
+             for f in verify.check_conjugation_duality(4)}
+    assert found == {((3, 1), (2, 2)), ((2, 1, 1), (2, 2))}

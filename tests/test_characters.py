@@ -15,9 +15,11 @@ from heckechar.characters import (
     ALGORITHMS, ALGORITHM_NAMES, CharTable, char_table, character,
     character_via_newton, character_via_sn, document_to_table, dumps_table,
     entry_document, hook_character, hook_weights, loads_table, mn_character,
-    normalize_g_to_chi, resolve_algorithm, table_to_document,
-    two_row_character, two_row_cumulative, two_row_weights,
+    normalize_g_to_chi, resolve_algorithm, two_row_character,
+    two_row_cumulative, two_row_weights,
 )
+
+from oracles import reference_document
 
 OMT = ONE - T
 TINV = monomial(1, -1)
@@ -234,6 +236,8 @@ def test_character_interface():
     ((3, 0), (3,)),           # zero part in lambda
     ((3,), (4, -1)),          # negative part in mu
     ((2,), (1.0, 1.0)),       # non-int parts in mu
+    ((True,), (1,)),          # a bool is not a part
+    ((1,), (True,)),
 ])
 def test_character_rejects_malformed_indices(lam, mu, algorithm):
     with pytest.raises(ValueError):
@@ -313,15 +317,47 @@ def test_table_round_trip_bit_exact():
     again = loads_table(text)
     assert dumps_table(again) == text
     assert again.entries == table.entries
-    doc = table_to_document(table)
+    doc = reference_document(table)
     assert doc["format_version"] == 1
     assert doc["n"] == 4
     assert doc["variable"] == "q"
     first = doc["entries"][0]
     assert list(first) == ["lambda", "mu", "algorithm", "poly"]
-    # reverse-lexicographic entry order
-    lams = [tuple(e["lambda"]) for e in doc["entries"]]
-    assert lams == sorted(lams, reverse=True)
+    # reverse-lexicographic entry order, as the library enumerates
+    keys = [(tuple(e["lambda"]), tuple(e["mu"])) for e in doc["entries"]]
+    assert keys == [(lam, mu) for lam in partitions_of(4)
+                    for mu in partitions_of(4)]
+
+
+def edge_case_table():
+    """A degree-2 table with what the writer must escape or order: a zero
+    polynomial, a negative exponent, a coefficient above 2**64, a tag
+    with a quote, a newline and a non-ASCII letter, and a missing tag."""
+    table = CharTable(n=2)
+    values = {
+        ((2,), (2,)): ZERO,
+        ((2,), (1, 1)): LaurentPoly({-3: 1, 0: -2, 5: 7}),
+        ((1, 1), (2,)): LaurentPoly({2: 3 ** 50, 1: -(2 ** 70)}),
+        ((1, 1), (1, 1)): ONE,
+    }
+    tags = {((2,), (2,)): "mn", ((2,), (1, 1)): 'quo"te\nand é',
+            ((1, 1), (2,)): "oracle"}
+    table.entries.update(values)
+    table.provenance.update(tags)
+    return table
+
+
+def test_writer_matches_the_reference_document():
+    tables = [char_table(n) for n in range(11)] + [edge_case_table()]
+    for table in tables:
+        assert dumps_table(table) == \
+            json.dumps(reference_document(table), indent=2) + "\n", table.n
+    # the edge cases read back as written, the missing tag as "unknown"
+    edge = edge_case_table()
+    again = loads_table(dumps_table(edge))
+    assert again.entries == edge.entries
+    assert again.provenance[((1, 1), (1, 1))] == "unknown"
+    assert dumps_table(again) == dumps_table(edge)
 
 
 # SHA-256 of the (lambda, mu, to_pairs()) rows of char_table(n) for
@@ -388,7 +424,7 @@ def test_table_file_round_trip(tmp_path):
 
 
 def test_document_validation():
-    doc = table_to_document(char_table(2))
+    doc = reference_document(char_table(2))
     doc["format_version"] = 99
     with pytest.raises(ValueError):
         document_to_table(doc)
@@ -420,13 +456,47 @@ def test_loads_table_rejects_wrong_entry_sets():
     def poly_not_pairs(doc):
         doc["entries"][4]["poly"] = 5
 
+    # only what the writer emits: each of these would load as some table
+    # that writes back different bytes
+    def float_coefficient(doc):
+        doc["entries"][4]["poly"] = [[1, 1.5]]
+
+    def underscored_coefficient(doc):
+        doc["entries"][4]["poly"] = [[1, "1_0"]]
+
+    def zero_coefficient(doc):
+        doc["entries"][4]["poly"] = [[0, "0"]]
+
+    def descending_exponents(doc):
+        doc["entries"][4]["poly"] = [[2, "1"], [1, "1"]]
+
+    def tag_not_string(doc):
+        doc["entries"][4]["algorithm"] = 5
+
+    def float_part(doc):
+        doc["entries"][4]["lambda"] = [2, 1.0]
+
+    def bool_part(doc):
+        doc["entries"][4]["mu"] = [2, True]
+
+    def float_version(doc):
+        doc["format_version"] = 1.0
+
     for corrupt in (truncated, non_partition, wrong_n, duplicated,
-                    no_entries, no_lambda, entry_not_object, poly_not_pairs):
+                    no_entries, no_lambda, entry_not_object, poly_not_pairs,
+                    float_coefficient, underscored_coefficient,
+                    zero_coefficient, descending_exponents, tag_not_string,
+                    float_part, bool_part, float_version):
         doc = json.loads(dumps_table(char_table(3)))
         assert doc["entries"][4]["lambda"] == [2, 1]
         corrupt(doc)
         with pytest.raises(ValueError):
             loads_table(json.dumps(doc))
+    # a bool degree: True == 1, so only its type gives it away
+    doc = json.loads(dumps_table(char_table(1)))
+    doc["n"] = True
+    with pytest.raises(ValueError):
+        loads_table(json.dumps(doc))
 
 
 def test_loads_table_checks_the_count_before_enumerating():
