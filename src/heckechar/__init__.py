@@ -13,8 +13,7 @@ including a self-verification mode.
 """
 
 from .laurent import (
-    ExactnessError, LaurentPoly, PolyV, RationalFn, monomial, poly_gcd,
-    polyv_product,
+    ExactnessError, LaurentPoly, RationalFn, monomial, poly_gcd,
 )
 from .partitions import (
     SkewShape, StripComponent, analyze_skew, conjugate, contingency_matrices,

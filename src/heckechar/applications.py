@@ -10,10 +10,10 @@ from __future__ import annotations
 
 from .laurent import ZERO, ONE, T, LaurentPoly
 from .partitions import (
-    check_composition, check_weights, contingency_matrices, partitions_of,
-    sort_to_partition, weight,
+    cached, check_composition, check_weights, contingency_matrices,
+    partitions_of, sort_to_partition, weight,
 )
-from .characters import _cached, _qm1_pow, character
+from .characters import _qm1_pow, character
 
 
 def neg_q_bracket(k):
@@ -78,7 +78,7 @@ def supercharacter_two_rows_explicit(mu):
     return total
 
 
-@_cached
+@cached
 def entry_weight(k):
     """The matrix-entry weight (t-1)^2 * [k]_{t^2}; 1 at k = 0, 0 below."""
     if k < 0:

@@ -30,39 +30,29 @@ import json
 import os
 import tempfile
 from dataclasses import dataclass, field
-from functools import lru_cache
 from itertools import chain
 from math import factorial, prod
 
-from .laurent import (
-    ZERO, ONE, T, ExactnessError, LaurentPoly, PolyV, monomial,
-    polyv_product,
-)
+from .laurent import ZERO, ONE, T, ExactnessError, LaurentPoly, monomial
+# clear_caches is re-exported: the CLI and the benchmark call it from here
 from .partitions import (
-    check_composition, check_indices, clear_enumeration_caches,
+    MEMOS, cached, check_composition, check_indices, clear_caches,
     nonzero_length, partition_count, partition_tuples, partitions_of,
     sort_to_partition, strip_removals, sub_compositions, weight,
 )
 from .schur import (
     _omt_pow, centralizer_order, centralizer_poly_factors,
-    classical_character, clear_engine_caches, newton_coeffs,
-    pairing_polynomial,
+    classical_character, newton_coeffs, pairing_polynomial,
 )
 
-_CACHES = []
-
-
-def _cached(fn):
-    fn = lru_cache(maxsize=None)(fn)
-    _CACHES.append(fn)
-    return fn
-
+# this module's memos; the benchmark tracer's memo_sizes reads the view
+_CACHES = MEMOS.setdefault(__name__, [])
 
 T_MINUS_ONE = T - ONE
 ONE_MINUS_TINV = ONE - monomial(1, -1)
 
 
-@_cached
+@cached
 def _qm1_pow(j):
     return T_MINUS_ONE ** j
 
@@ -85,32 +75,38 @@ def normalize_g_to_chi(g, n, l_mu):
 
 # -- closed forms -------------------------------------------------------
 
-@_cached
+def _v_product(factors):
+    """Coefficient tuple, from v^0 up, of a product of polynomials in an
+    auxiliary variable v, each given as the list of its coefficients."""
+    out = [ONE]
+    for f in factors:
+        acc = [ZERO] * (len(out) + len(f) - 1)
+        for i, a in enumerate(out):
+            for j, b in enumerate(f):
+                acc[i + j] = acc[i + j] + a * b
+        out = acc
+    return tuple(out)
+
+
+@cached
 def hook_weights(mu):
     """Coefficient sequence of (1 - v/t)^len(mu) * prod [mu_i]_v in v.
 
-    Drives the hook closed form; entry 0 is 1 and the top entry is
-    (-1/t)^len(mu).
+    Drives the hook closed form; entry 0 is 1 and the top entry, at
+    v^|mu|, is (-1/t)^len(mu).
     """
-    factors = [PolyV([ONE, -monomial(1, -1)]) for _ in mu]
-    factors += [PolyV([ONE] * m) for m in mu]
-    prod = polyv_product(factors)
-    n = weight(mu)
-    return tuple(prod.coeff(i) for i in range(n + 1))
+    return _v_product([[ONE, -monomial(1, -1)] for _ in mu] +
+                      [[ONE] * m for m in mu])
 
 
-@_cached
+@cached
 def two_row_weights(mu):
     """Coefficient sequence of prod (1/t + v^mu_i + (1-1/t)[mu_i]_v) in v.
 
-    Palindromic; drives the two-row closed form.
+    Palindromic, from 1 at v^0 to 1 at v^|mu|; drives the two-row closed
+    form.
     """
-    factors = []
-    for m in mu:
-        factors.append(PolyV([ONE] + [ONE_MINUS_TINV] * (m - 1) + [ONE]))
-    prod = polyv_product(factors)
-    n = weight(mu)
-    return tuple(prod.coeff(i) for i in range(n + 1))
+    return _v_product([ONE] + [ONE_MINUS_TINV] * (m - 1) + [ONE] for m in mu)
 
 
 def hook_character(k, mu):
@@ -118,8 +114,8 @@ def hook_character(k, mu):
     weights evaluated at the character variable."""
     mu = sort_to_partition(check_composition(mu))
     n = weight(mu)
-    if not 1 <= k <= n:
-        raise ValueError(f"hook arm {k} out of range 1..{n}")
+    if type(k) is not int or not 1 <= k <= n:
+        raise ValueError(f"hook arm {k!r} is not an int in 1..{n}")
     a = hook_weights(mu)
     total = ZERO
     for i in range(k, n + 1):
@@ -133,8 +129,8 @@ def two_row_character(k, mu):
     """Character at the two-row shape (k, n-k)."""
     mu = sort_to_partition(check_composition(mu))
     n = weight(mu)
-    if not (n - k <= k <= n):
-        raise ValueError(f"two-row arm {k} out of range for n={n}")
+    if type(k) is not int or not n - k <= k <= n:
+        raise ValueError(f"two-row arm {k!r} is not an int in range for n={n}")
     b = two_row_weights(mu)
     diff = b[k] - (b[k + 1] if k + 1 <= n else ZERO)
     return (diff.shift(n - len(mu)))
@@ -160,7 +156,7 @@ def broken_strip_weight(comps):
     return -w if rsum % 2 else w
 
 
-@_cached
+@cached
 def _mn_cached(lam, mu):
     if not mu:
         return ONE if not lam else ZERO
@@ -220,7 +216,7 @@ def character_via_sn(lam, mu):
     return acc.divexact(_qm1_pow(len(mu)) * fact)
 
 
-@_cached
+@cached
 def _newton_scaled(top):
     # P(1/t), and newton_coeffs(m) * P at 1/t for each m <= top
     p = prod((monomial(1, k) - ONE for k in range(1, top + 1)), start=ONE)
@@ -229,7 +225,7 @@ def _newton_scaled(top):
          for rho, c in newton_coeffs(m).items()} for m in range(top + 1)]
 
 
-@_cached
+@cached
 def _via_newton_cached(lam, mu):
     """Every newton_coeffs(m) used here has m <= top = n - lam_1, so its
     denominators divide P = prod_{k <= top} (t^k - 1).  The sum runs over
@@ -334,14 +330,6 @@ def character(lam, mu, algorithm="auto"):
     return ALGORITHMS[resolve_algorithm(algorithm)](lam, mu)
 
 
-def clear_caches():
-    """Reset every memo table (the CLI bench mode uses this between runs)."""
-    for fn in _CACHES:
-        fn.cache_clear()
-    clear_engine_caches()
-    clear_enumeration_caches()
-
-
 # -- tables and persistence ----------------------------------------------
 
 FORMAT_VERSION = 1
@@ -364,8 +352,8 @@ def char_table(n, algorithm="auto"):
     Both indices run over the partitions of n in reverse-lexicographic
     order; each entry records the route that produced it.
     """
-    if n < 0:
-        raise ValueError("n must be non-negative")
+    if type(n) is not int or n < 0:
+        raise ValueError(f"n must be a non-negative int, not {n!r}")
     tag = resolve_algorithm(algorithm)
     table = CharTable(n=n)
     parts = partitions_of(n)

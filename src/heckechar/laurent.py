@@ -1,6 +1,6 @@
 """Exact coefficient arithmetic in one formal variable.
 
-Three value types cover everything the character algorithms need:
+Two value types cover everything the character algorithms need:
 
 * ``LaurentPoly`` -- sparse Laurent polynomial with arbitrary-precision
   integer coefficients.  Every final character value is one of these.
@@ -8,8 +8,6 @@ Three value types cover everything the character algorithms need:
   (denominator an honest polynomial with nonzero constant term, positive
   leading coefficient, numerator/denominator coprime with joint integer
   content cleared) so equal values compare and print identically.
-* ``PolyV`` -- dense polynomial in an auxiliary variable ``v`` whose
-  coefficients are LaurentPolys, used for generating-function expansions.
 
 The variable is formal; it is only named ("q" or "t") when printing.
 No floating point appears anywhere.
@@ -65,15 +63,18 @@ class LaurentPoly:
     @classmethod
     def from_pairs(cls, pairs):
         """Build from ``[[exponent, coefficient-as-decimal-string], ...]``
-        in exactly the form :meth:`to_pairs` writes: a list of pairs with
-        int exponents in strictly ascending order, each coefficient the
-        ``str`` of a nonzero int.  ValueError for anything else, so the
-        pairs read back are the pairs written."""
+        in exactly the form :meth:`to_pairs` writes: a list of two-element
+        lists with int exponents in strictly ascending order, each
+        coefficient the ``str`` of a nonzero int.  ValueError for anything
+        else, so the pairs read back are the pairs written."""
         if not isinstance(pairs, list):
             raise ValueError(f"not a list of pairs: {pairs!r}")
         terms = {}
         last = None
-        for e, c in pairs:
+        for pair in pairs:
+            if type(pair) is not list or len(pair) != 2:
+                raise ValueError(f"not a pair: {pair!r}")
+            e, c = pair
             if type(e) is not int or type(c) is not str or \
                     (last is not None and e <= last):
                 raise ValueError(f"not a canonical pair: {[e, c]!r}")
@@ -478,52 +479,3 @@ class RationalFn:
 
     def __repr__(self):
         return f"RationalFn<{self.format('t')}>"
-
-
-class PolyV:
-    """Dense polynomial in the auxiliary variable v over LaurentPolys."""
-
-    __slots__ = ("coeffs",)
-
-    def __init__(self, coeffs):
-        coeffs = [c if isinstance(c, LaurentPoly) else LaurentPoly.const(c)
-                  for c in coeffs]
-        while coeffs and coeffs[-1].is_zero():
-            coeffs.pop()
-        self.coeffs = tuple(coeffs)
-
-    def degree(self):
-        return len(self.coeffs) - 1
-
-    def coeff(self, i):
-        return self.coeffs[i] if 0 <= i < len(self.coeffs) else ZERO
-
-    def __eq__(self, other):
-        if not isinstance(other, PolyV):
-            return NotImplemented
-        return self.coeffs == other.coeffs
-
-    def __repr__(self):
-        inner = ", ".join(c.format("t") for c in self.coeffs)
-        return f"PolyV[{inner}]"
-
-
-def polyv_mul(a, b):
-    if not a.coeffs or not b.coeffs:
-        return PolyV([])
-    out = [ZERO] * (a.degree() + b.degree() + 1)
-    for i, ca in enumerate(a.coeffs):
-        if ca.is_zero():
-            continue
-        for j, cb in enumerate(b.coeffs):
-            if not cb.is_zero():
-                out[i + j] = out[i + j] + ca * cb
-    return PolyV(out)
-
-
-def polyv_product(factors):
-    """Exact product of PolyV factors."""
-    result = PolyV([ONE])
-    for f in factors:
-        result = polyv_mul(result, f)
-    return result

@@ -4,8 +4,12 @@ Partitions are plain tuples of positive integers in weakly decreasing
 order with no trailing zeros; compositions are tuples of non-negative
 integers (zeros allowed internally, trimmed for display).  Everything
 here is a pure function of immutable inputs, so unrestricted concurrent
-use is safe; the memo tables are ordinary dicts guarded by the caching
-decorator.
+use is safe.
+
+This is the lowest module that memoises, so it holds the memo registry
+of the whole package: :func:`cached` wraps a function in an unbounded
+``lru_cache`` and lists it in ``MEMOS`` under its module's name, and
+:func:`clear_caches` empties every table listed there.
 
 Enumeration orders are fixed: compositions are produced in ascending
 lexicographic order and partitions in reverse-lexicographic order, so
@@ -21,18 +25,26 @@ from functools import lru_cache
 Partition = tuple
 Composition = tuple
 
-_CACHES = []
+MEMOS = {}
 
 
-def _cached(fn):
+def cached(fn):
+    """``fn`` memoised without bound and registered in ``MEMOS``."""
     fn = lru_cache(maxsize=None)(fn)
-    _CACHES.append(fn)
+    MEMOS.setdefault(fn.__module__, []).append(fn)
     return fn
 
 
-def clear_enumeration_caches():
-    for fn in _CACHES:
-        fn.cache_clear()
+def clear_caches():
+    """Reset every memo table of the package, in every module (the CLI
+    bench mode uses this between runs)."""
+    for fns in MEMOS.values():
+        for fn in fns:
+            fn.cache_clear()
+
+
+# this module's memos; the benchmark tracer's memo_sizes reads the view
+_CACHES = MEMOS.setdefault(__name__, [])
 
 
 def check_partition(parts):
@@ -135,7 +147,7 @@ def inner_corner_removals(lam):
     return out
 
 
-@_cached
+@cached
 def standard_tableaux_count(lam):
     """Number of standard fillings, by the branching recursion."""
     if not lam:
@@ -188,7 +200,7 @@ def compositions_of(total, slots):
             yield (first,) + rest
 
 
-@_cached
+@cached
 def partitions_of(n):
     """All partitions of n in reverse-lexicographic order, as a tuple."""
     if n < 0:
@@ -319,7 +331,7 @@ def subpartitions_of_weight(lam, w):
     yield from rec(0, w, big)
 
 
-@_cached
+@cached
 def strip_removals(lam, k):
     """All (mu, components) with mu inside lam, |lam/mu| = k and lam/mu a
     k-broken border strip."""

@@ -21,39 +21,29 @@ Everything works in a generic variable t with exact coefficients.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import lru_cache
 from math import factorial
 
 from .laurent import (
     ZERO, ONE, T, ExactnessError, LaurentPoly, RationalFn, monomial,
 )
 from .partitions import (
-    SkewShape, check_indices, compositions_of, partition_tuples,
-    sort_to_partition, strip_removals, subpartitions_of_weight, weight,
+    MEMOS, SkewShape, cached, check_indices, compositions_of,
+    partition_tuples, sort_to_partition, strip_removals,
+    subpartitions_of_weight, weight,
 )
 
 ONE_MINUS_T = ONE - T
 
-_CACHES = []
+# this module's memos; the benchmark tracer's memo_sizes reads the view
+_CACHES = MEMOS.setdefault(__name__, [])
 
 
-def _cached(fn):
-    fn = lru_cache(maxsize=None)(fn)
-    _CACHES.append(fn)
-    return fn
-
-
-def clear_engine_caches():
-    for fn in _CACHES:
-        fn.cache_clear()
-
-
-@_cached
+@cached
 def _omt_pow(j):
     return ONE_MINUS_T ** j
 
 
-@_cached
+@cached
 def _neg_t_pow(j):
     # (-t)^j
     return monomial(-1 if j % 2 else 1, j)
@@ -216,7 +206,7 @@ def _bareiss_det(rows):
     return -d if sign < 0 else d
 
 
-@_cached
+@cached
 def _scaled_det(lam, mu):
     # (1-t)^{l(lam)} * det M(lam/mu; t): an honest polynomial
     mu_padded = mu + (0,) * (len(lam) - len(mu))
@@ -291,7 +281,7 @@ _PEELERS = {
 }
 
 
-@_cached
+@cached
 def _pairing_cached(lam, mu, strategy):
     peel = _PEELERS[strategy]
     vec = SchurVector.unit(lam)
@@ -317,7 +307,7 @@ def pairing_polynomial(lam, mu, strategy="strips"):
     return _pairing_cached(lam, mu, strategy)
 
 
-@_cached
+@cached
 def centralizer_order(lam):
     """Product of part^multiplicity * multiplicity! over distinct parts."""
     z = 1
@@ -329,7 +319,7 @@ def centralizer_order(lam):
     return z
 
 
-@_cached
+@cached
 def centralizer_poly_factors(lam):
     """Product of (1 - t^part) over the parts; the polynomial part of the
     reciprocal deformed centralizer order."""
@@ -339,13 +329,13 @@ def centralizer_poly_factors(lam):
     return out
 
 
-@_cached
+@cached
 def deformed_centralizer(lam):
     """The deformed centralizer order as a rational function of t."""
     return RationalFn(centralizer_order(lam), centralizer_poly_factors(lam))
 
 
-@_cached
+@cached
 def _classical_mn(lam, rho):
     if not rho:
         return 1
@@ -368,7 +358,7 @@ def classical_character(lam, rho):
     return _classical_mn(lam, rho)
 
 
-@_cached
+@cached
 def pairing_oracle(lam, mu):
     """Independent route to the pairing polynomial.
 
@@ -403,7 +393,7 @@ def pairing_oracle(lam, mu):
     return LaurentPoly(terms)
 
 
-@_cached
+@cached
 def newton_coeffs(m):
     """Transition coefficients from the degree-m dual elementary vector to
     the one-row product basis, by the generalized Newton recursion.

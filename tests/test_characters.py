@@ -1,5 +1,7 @@
 import hashlib
+import importlib
 import json
+import pkgutil
 from concurrent.futures import ThreadPoolExecutor
 
 import pytest
@@ -133,6 +135,10 @@ def test_hook_character():
         hook_character(0, (2, 1))
     with pytest.raises(ValueError):
         hook_character(4, (2, 1))
+    # the arm is an int: True == 1, but only its type gives it away
+    for arm in (True, 1.0):
+        with pytest.raises(ValueError):
+            hook_character(arm, (1,))
 
 
 def test_two_row_character():
@@ -145,6 +151,9 @@ def test_two_row_character():
                 assert two_row_character(k, mu) == mn_character(lam, mu)
     with pytest.raises(ValueError):
         two_row_character(1, (3,))
+    for arm in (True, 1.0):
+        with pytest.raises(ValueError):
+            two_row_character(arm, (1,))
 
 
 def test_two_row_cumulative():
@@ -228,6 +237,11 @@ def test_character_interface():
         character((2,), (1, 1, 1))
     with pytest.raises(ValueError):
         character((2, 1), (2, 1), "nope")
+    # the degree of a table is an int; a bool one would be written as
+    # "n": True, which is not JSON
+    for n in (-1, True, 2.0, "3", None):
+        with pytest.raises(ValueError):
+            char_table(n)
 
 
 @pytest.mark.parametrize("algorithm", ALGORITHM_NAMES)
@@ -259,8 +273,11 @@ def test_closed_form_algorithms_reject_wrong_shapes():
 
 
 def test_clear_caches_resets_state():
+    import heckechar
+    from heckechar import characters, partitions, schur
     from heckechar.characters import clear_caches, _mn_cached
     from heckechar.applications import bitrace, entry_weight
+    from heckechar.partitions import MEMOS
     character((3, 2, 1), (2, 2, 1, 1))
     bitrace((2, 1), (3,))
     assert _mn_cached.cache_info().currsize
@@ -269,6 +286,30 @@ def test_clear_caches_resets_state():
     assert _mn_cached.cache_info().currsize == 0
     assert entry_weight.cache_info().currsize == 0
     assert character((3, 2, 1), (2, 2, 1, 1)) == 4 * (T - ONE) ** 2
+
+    # one registry: every memo of every module is listed under the module
+    # that defines it, and the per-module views are those same lists
+    modules = [importlib.import_module(f"heckechar.{info.name}")
+               for info in pkgutil.iter_modules(heckechar.__path__)]
+    for module in modules:
+        for value in vars(module).values():
+            if hasattr(value, "cache_clear"):
+                assert value in MEMOS[value.__module__], value
+    for module in (partitions, schur, characters):
+        assert module._CACHES is MEMOS[module.__name__]
+    assert entry_weight in MEMOS["heckechar.applications"]
+    assert entry_weight not in characters._CACHES
+
+    # and clear_caches empties all of them, whichever route filled them
+    shapes = {"one_row": (3,), "one_column": (1, 1, 1)}
+    for algorithm in ALGORITHM_NAMES:
+        character(shapes.get(algorithm, (2, 1)), (2, 1), algorithm)
+    for method in ("matrices", "char_sum"):
+        bitrace((2, 1), (2, 1), method)
+    clear_caches()
+    for memos in MEMOS.values():
+        for fn in memos:
+            assert fn.cache_info().currsize == 0, fn
 
 
 def test_character_memo_thread_consistency():

@@ -2,9 +2,10 @@ import random
 
 import pytest
 
+from heckechar.characters import _v_product
 from heckechar.laurent import (
-    ONE, T, ZERO, ExactnessError, LaurentPoly, PolyV, RationalFn,
-    monomial, poly_gcd, polyv_product,
+    ONE, T, ZERO, ExactnessError, LaurentPoly, RationalFn, monomial,
+    poly_gcd,
 )
 
 
@@ -129,11 +130,12 @@ def test_rational_errors():
 
 
 def test_polyv():
-    two_factors = polyv_product([PolyV([1, 1]), PolyV([1, 1])])
-    assert two_factors == PolyV([1, 2, 1])
+    # products of polynomials in the auxiliary variable v of the weights
+    two_factors = _v_product([[ONE, ONE], [ONE, ONE]])
+    assert two_factors == (ONE, LaurentPoly.const(2), ONE)
     tinv = monomial(1, -1)
-    mixed = polyv_product([PolyV([ONE, -tinv]), PolyV([1, 1])])
-    assert mixed == PolyV([ONE, ONE - tinv, -tinv])
+    mixed = _v_product([[ONE, -tinv], [ONE, ONE]])
+    assert mixed == (ONE, ONE - tinv, -tinv)
 
 
 def test_serialization_pairs():
@@ -143,6 +145,10 @@ def test_serialization_pairs():
     assert LaurentPoly.from_pairs(pairs) == p
     big = LaurentPoly({0: 10 ** 40})
     assert LaurentPoly.from_pairs(big.to_pairs()) == big
+    # each pair is a two-element list, as to_pairs writes it
+    for bad in ([5], [(1, "1")], [[1, "1", 2]], [[1]]):
+        with pytest.raises(ValueError):
+            LaurentPoly.from_pairs(bad)
 
 
 def test_rational_serialization():
