@@ -22,9 +22,9 @@ from .partitions import (
     standard_tableaux_count, strip_removals, sub_compositions,
 )
 from .schur import (
-    SchurVector, classical_character, centralizer_order, det_matrix,
-    det_value, newton_coeffs, pairing_oracle, pairing_polynomial,
-    peel_det, peel_iterative, peel_strips, straighten,
+    classical_character, centralizer_order, det_matrix, det_value,
+    newton_coeffs, pairing_oracle, pairing_polynomial, peel_det,
+    peel_iterative, peel_strips, straighten,
 )
 from .characters import (
     ALGORITHMS, ALGORITHM_NAMES, CharTable, char_table, character,

@@ -41,8 +41,8 @@ from .partitions import (
     sort_to_partition, strip_removals, sub_compositions, weight,
 )
 from .schur import (
-    _omt_pow, centralizer_order, centralizer_poly_factors,
-    classical_character, newton_coeffs, pairing_polynomial,
+    _classical_mn, _omt_pow, centralizer_order, centralizer_poly_factors,
+    newton_coeffs, pairing_polynomial,
 )
 
 # this module's memos; the benchmark tracer's memo_sizes reads the view
@@ -205,7 +205,9 @@ def character_via_sn(lam, mu):
                 zint = prod(map(centralizer_order, nu_tuple))
                 numer = 0
                 for rho in partitions_of(i - la1):
-                    chi = classical_character(
+                    # valid indices by construction: the sorted parts
+                    # and rho make a partition of n - lam_1 = |tail|
+                    chi = _classical_mn(
                         tail, sort_to_partition(parts + list(rho)))
                     if (len(parts) + len(rho)) % 2:
                         chi = -chi

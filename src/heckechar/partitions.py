@@ -256,14 +256,6 @@ class SkewShape:
             if p > self.outer[i]:
                 raise ValueError(f"inner {self.inner} not contained in outer {self.outer}")
 
-    def boxes(self):
-        inner = self.inner + (0,) * (len(self.outer) - len(self.inner))
-        return [(i, j) for i, op in enumerate(self.outer)
-                for j in range(inner[i], op)]
-
-    def size(self):
-        return sum(self.outer) - sum(self.inner)
-
 
 def _analyze(outer, inner):
     # one pass over the rows; each piece is [rows, left, right, size]
@@ -350,39 +342,22 @@ def contingency_matrices(row_sums, col_sums):
     """Stream every non-negative integer matrix with the prescribed row
     and column sums, each exactly once.
 
-    Rows are filled depth-first with remaining-column-sum pruning; within
-    a row the leftmost entry decreases, so the order is deterministic.
+    Rows are filled depth-first from the remaining column sums; within a
+    row the leftmost entry decreases (descending lexicographic order), so
+    the order is deterministic.
     """
     if sum(row_sums) != sum(col_sums):
         raise ValueError(
             f"weight mismatch: |{row_sums}| != |{col_sums}|")
-    r, s = len(row_sums), len(col_sums)
-
-    def fill_row(target, caps, j):
-        if j == s - 1:
-            if target <= caps[-1]:
-                yield (target,)
-            return
-        tail_cap = sum(caps[j + 1:])
-        for v in range(min(target, caps[j]), -1, -1):
-            if target - v > tail_cap:
-                continue
-            for rest in fill_row(target - v, caps, j + 1):
-                yield (v,) + rest
+    r = len(row_sums)
 
     def rec(i, caps):
         if i == r:
             yield ()
             return
-        for row in (fill_row(row_sums[i], caps, 0) if s else iter(((),))):
-            if s == 0 and row_sums[i]:
-                return
-            new_caps = tuple(caps[j] - row[j] for j in range(s))
+        for row in reversed(sub_compositions(caps, row_sums[i])):
+            new_caps = tuple(c - v for c, v in zip(caps, row))
             for rest in rec(i + 1, new_caps):
                 yield (row,) + rest
 
-    if r == 0:
-        if all(c == 0 for c in col_sums):
-            yield ()
-        return
     yield from rec(0, tuple(col_sums))

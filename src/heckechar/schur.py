@@ -1,9 +1,11 @@
 """The peeling engine.
 
-A Schur vector is a finite formal combination of partitions of one common
-weight.  Removing one part of the lower indexing partition at a time ("peeling")
-expands the dual one-row operator on such vectors; three interchangeable
-expansions are implemented:
+A Schur vector is a plain dict mapping partitions of one common weight to
+their nonzero LaurentPoly coefficients.  Removing one part of the lower
+indexing partition at a time ("peeling") expands the dual one-row operator
+on such vectors.  One loop (``_peel``) does the expansion; three
+interchangeable strategies differ only in the (partition, weight) terms one
+partition expands into:
 
 * ``peel_iterative`` -- sum over compositions into the available slots,
   straightening each shifted index sequence;
@@ -78,51 +80,31 @@ def straighten(mu):
     return (-1 if inversions % 2 else 1), tuple(lam)
 
 
-class SchurVector:
-    """Formal combination of equal-weight partitions with ring coefficients.
-
-    Coefficients are LaurentPolys: every peel weight is an honest
-    polynomial.  No zero coefficients are stored.
-    """
-
-    __slots__ = ("entries",)
-
-    def __init__(self, entries=None):
-        self.entries = {lam: c for lam, c in (entries or {}).items()
-                        if not c.is_zero()}
-
-    @classmethod
-    def unit(cls, lam):
-        v = object.__new__(cls)
-        v.entries = {tuple(lam): ONE}
-        return v
-
-    def coefficient(self, lam):
-        return self.entries.get(tuple(lam), ZERO)
-
-    def is_zero(self):
-        return not self.entries
-
-    def items(self):
-        return self.entries.items()
-
-    def __eq__(self, other):
-        if not isinstance(other, SchurVector):
-            return NotImplemented
-        if self.entries.keys() != other.entries.keys():
-            return False
-        return all(other.entries[k] == c for k, c in self.entries.items())
-
-    def __repr__(self):
-        if not self.entries:
-            return "SchurVector<0>"
-        bits = ", ".join(f"{lam}: {c!r}" for lam, c in sorted(self.entries.items()))
-        return f"SchurVector<{bits}>"
+def _peel(k, vec, terms):
+    # the one vector loop: each partition of weight >= k expands into the
+    # (mu, weight) pairs of ``terms``; zero sums are dropped
+    if k == 0:
+        return vec
+    out = {}
+    for lam, coeff in vec.items():
+        if k > weight(lam):
+            continue
+        for mu, w in terms(lam, k):
+            term = coeff * w
+            cur = out.get(mu)
+            out[mu] = term if cur is None else cur + term
+    return {mu: c for mu, c in out.items() if not c.is_zero()}
 
 
-def _accumulate(out, lam, term):
-    cur = out.get(lam)
-    out[lam] = term if cur is None else cur + term
+def _iterative_terms(lam, k):
+    l = len(lam)
+    for tau in compositions_of(k, l):
+        st = straighten(tuple(lam[i] - tau[i] for i in range(l)))
+        if st is None:
+            continue
+        sign, mu = st
+        w = _omt_pow(sum(1 for x in tau if x))
+        yield mu, (-w if sign < 0 else w)
 
 
 def peel_iterative(k, vec):
@@ -132,26 +114,7 @@ def peel_iterative(k, vec):
     indices, which the straightening kills); a slot that drops at all
     contributes one factor (1 - t).
     """
-    if k == 0:
-        return vec
-    out = {}
-    for lam, coeff in vec.items():
-        if k > weight(lam):
-            continue
-        l = len(lam)
-        if l == 0:
-            continue
-        for tau in compositions_of(k, l):
-            st = straighten(tuple(lam[i] - tau[i] for i in range(l)))
-            if st is None:
-                continue
-            sign, mu = st
-            nz = sum(1 for x in tau if x)
-            term = coeff * _omt_pow(nz)
-            if sign < 0:
-                term = -term
-            _accumulate(out, mu, term)
-    return SchurVector(out)
+    return _peel(k, vec, _iterative_terms)
 
 
 def _strip_matrix(lam, mu_padded):
@@ -216,18 +179,9 @@ def _scaled_det(lam, mu):
 def det_matrix(lam, mu):
     """The peel matrix itself, with entries 0, 1 or 1/(1-t)."""
     SkewShape(lam, mu)  # ValueError unless mu lies inside lam
-    l = len(lam)
-    mu_padded = mu + (0,) * (l - len(mu))
-    inv = RationalFn(ONE, ONE_MINUS_T)
-    one = RationalFn(ONE)
-    zero = RationalFn(ZERO)
-    rows = []
-    for i in range(l):
-        di = lam[i] - i
-        rows.append([zero if di < mu_padded[j] - j
-                     else (inv if di == mu_padded[j] - j else one)
-                     for j in range(l)])
-    return rows
+    mu_padded = mu + (0,) * (len(lam) - len(mu))
+    return [[RationalFn(e, ONE_MINUS_T) for e in row]
+            for row in _strip_matrix(lam, mu_padded)]
 
 
 def det_value(lam, mu):
@@ -236,42 +190,33 @@ def det_value(lam, mu):
     return RationalFn(_scaled_det(lam, mu), _omt_pow(len(lam)))
 
 
+def _det_terms(lam, k):
+    for mu in subpartitions_of_weight(lam, weight(lam) - k):
+        d = _scaled_det(lam, mu)
+        if not d.is_zero():
+            yield mu, d
+
+
 def peel_det(k, vec):
     """Expand through determinants of the peel matrix.
 
     The (1-t)^l prefactor cancels the cleared row denominators exactly,
     so every coefficient stays an honest polynomial.
     """
-    if k == 0:
-        return vec
-    out = {}
-    for lam, coeff in vec.items():
-        n = weight(lam)
-        if k > n:
-            continue
-        for mu in subpartitions_of_weight(lam, n - k):
-            d = _scaled_det(lam, mu)
-            if d.is_zero():
-                continue
-            _accumulate(out, mu, coeff * d)
-    return SchurVector(out)
+    return _peel(k, vec, _det_terms)
+
+
+def _strip_terms(lam, k):
+    for mu, comps in strip_removals(lam, k):
+        rsum = sum(c.rows - 1 for c in comps)
+        yield mu, _omt_pow(len(comps)) * _neg_t_pow(rsum)
 
 
 def peel_strips(k, vec):
     """Expand over broken border strips: each removal of a k-broken border
     strip with components xi_1..xi_m contributes
     (1-t)^m * prod (-t)^(rows(xi_i) - 1)."""
-    if k == 0:
-        return vec
-    out = {}
-    for lam, coeff in vec.items():
-        if k > weight(lam):
-            continue
-        for mu, comps in strip_removals(lam, k):
-            m = len(comps)
-            rsum = sum(c.rows - 1 for c in comps)
-            _accumulate(out, mu, coeff * (_omt_pow(m) * _neg_t_pow(rsum)))
-    return SchurVector(out)
+    return _peel(k, vec, _strip_terms)
 
 
 _PEELERS = {
@@ -284,12 +229,12 @@ _PEELERS = {
 @cached
 def _pairing_cached(lam, mu, strategy):
     peel = _PEELERS[strategy]
-    vec = SchurVector.unit(lam)
+    vec = {lam: ONE}
     for k in mu:
         vec = peel(k, vec)
-        if vec.is_zero():
+        if not vec:
             return ZERO
-    return vec.coefficient(())
+    return vec.get((), ZERO)
 
 
 def pairing_polynomial(lam, mu, strategy="strips"):
@@ -301,7 +246,7 @@ def pairing_polynomial(lam, mu, strategy="strips"):
     """
     lam, mu = check_indices(lam, mu)
     if strategy == "oracle":
-        return pairing_oracle(lam, mu)
+        return _oracle_cached(lam, mu)
     if strategy not in _PEELERS:
         raise ValueError(f"unknown strategy {strategy!r}")
     return _pairing_cached(lam, mu, strategy)
@@ -358,7 +303,6 @@ def classical_character(lam, rho):
     return _classical_mn(lam, rho)
 
 
-@cached
 def pairing_oracle(lam, mu):
     """Independent route to the pairing polynomial.
 
@@ -368,7 +312,11 @@ def pairing_oracle(lam, mu):
     all integer denominators.  Shares nothing with the peeling code
     beyond the partition enumerators.
     """
-    lam, mu = check_indices(lam, mu)
+    return _oracle_cached(*check_indices(lam, mu))
+
+
+@cached
+def _oracle_cached(lam, mu):
     acc = {}
     for tup in partition_tuples(mu):
         rho = sort_to_partition([p for block in tup for p in block])
