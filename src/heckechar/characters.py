@@ -37,12 +37,12 @@ from .laurent import ZERO, ONE, T, ExactnessError, LaurentPoly, monomial
 # clear_caches is re-exported: the CLI and the benchmark call it from here
 from .partitions import (
     MEMOS, cached, check_composition, check_indices, clear_caches,
-    nonzero_length, partition_count, partition_tuples, partitions_of,
-    sort_to_partition, strip_removals, sub_compositions, weight,
+    nonzero_length, partition_count, partitions_of, sort_to_partition,
+    strip_removals, sub_compositions, weight,
 )
 from .schur import (
-    _classical_mn, _omt_pow, centralizer_order, centralizer_poly_factors,
-    newton_coeffs, pairing_polynomial,
+    _classical_mn, _omt_pow, _power_sum_terms, centralizer_order,
+    centralizer_poly_factors, newton_coeffs, pairing_polynomial,
 )
 
 # this module's memos; the benchmark tracer's memo_sizes reads the view
@@ -55,6 +55,11 @@ ONE_MINUS_TINV = ONE - monomial(1, -1)
 @cached
 def _qm1_pow(j):
     return T_MINUS_ONE ** j
+
+
+@cached
+def _omtinv_pow(j):
+    return ONE_MINUS_TINV ** j
 
 
 def normalize_g_to_chi(g, n, l_mu):
@@ -180,50 +185,54 @@ def mn_character(lam, mu):
 
 # -- general reduction formulas -----------------------------------------
 
+def _first_row_terms(lam, mu):
+    """The terms of the first row's vertex operator: for lam_1 <= i <= n
+    and each tau in sub_compositions(mu, i), the triple
+    (i, mu - tau, (1 - 1/t)^nz(tau))."""
+    for i in range(lam[0], weight(mu) + 1):
+        for tau in sub_compositions(mu, i):
+            yield (i, tuple(m - x for m, x in zip(mu, tau)),
+                   _omtinv_pow(nonzero_length(tau)))
+
+
 def character_via_sn(lam, mu):
     """Reduce to classical characters of lower-degree symmetric groups.
 
-    Each term's denominator zint * z_rho divides (n - lam_1)!, because a
-    centralizer order divides its partition's size factorial and the
-    sizes sum to n - lam_1; so integer numerators are summed over that
-    one denominator and a single exact division ends the sum.
+    Each term's denominator z * z_rho divides (n - lam_1)!: the block
+    sizes n_j (the parts of mu - tau, and i - lam_1) sum to n - lam_1,
+    each n_j! / z_{rho_j} is a class size of S_{n_j}, and a product of
+    the n_j! divides (n - lam_1)!.  So integer numerators are summed
+    over that one denominator and a single exact division ends the sum.
     """
     lam, mu = check_indices(lam, mu)
     if not lam:
         return ONE
-    n = weight(mu)
     la1 = lam[0]
     tail = lam[1:]
-    fact = factorial(n - la1)
+    fact = factorial(weight(mu) - la1)
     acc = ZERO
-    for i in range(la1, n + 1):
-        for tau in sub_compositions(mu, i):
-            base = (ONE_MINUS_TINV ** nonzero_length(tau)).shift(i)
-            rem = tuple(mu[j] - tau[j] for j in range(len(mu)))
-            for nu_tuple in partition_tuples(rem):
-                parts = [p for block in nu_tuple for p in block]
-                zint = prod(map(centralizer_order, nu_tuple))
-                numer = 0
-                for rho in partitions_of(i - la1):
-                    # valid indices by construction: the sorted parts
-                    # and rho make a partition of n - lam_1 = |tail|
-                    chi = _classical_mn(
-                        tail, sort_to_partition(parts + list(rho)))
-                    if (len(parts) + len(rho)) % 2:
-                        chi = -chi
-                    numer += chi * (fact // (zint * centralizer_order(rho)))
-                if numer:
-                    zpoly = centralizer_poly_factors(sort_to_partition(parts))
-                    acc = acc + base * zpoly * numer
+    for i, rem, w in _first_row_terms(lam, mu):
+        base = w.shift(i)
+        for nu, z in _power_sum_terms(rem):
+            numer = 0
+            for rho in partitions_of(i - la1):
+                # valid indices by construction: nu and rho make a
+                # partition of n - lam_1 = |tail|
+                chi = _classical_mn(tail, sort_to_partition(nu + rho))
+                if (len(nu) + len(rho)) % 2:
+                    chi = -chi
+                numer += chi * (fact // (z * centralizer_order(rho)))
+            if numer:
+                acc = acc + base * centralizer_poly_factors(nu) * numer
     return acc.divexact(_qm1_pow(len(mu)) * fact)
 
 
 @cached
 def _newton_scaled(top):
-    # P(1/t), and newton_coeffs(m) * P at 1/t for each m <= top
+    # P(1/t), and newton_coeffs(m) * P at 1/t * (t-1)^len(rho), m <= top
     p = prod((monomial(1, k) - ONE for k in range(1, top + 1)), start=ONE)
     return p.invert_variable(), [
-        {rho: (c * p).to_laurent().invert_variable()
+        {rho: (c * p).to_laurent().invert_variable() * _qm1_pow(len(rho))
          for rho, c in newton_coeffs(m).items()} for m in range(top + 1)]
 
 
@@ -231,23 +240,21 @@ def _newton_scaled(top):
 def _via_newton_cached(lam, mu):
     """Every newton_coeffs(m) used here has m <= top = n - lam_1, so its
     denominators divide P = prod_{k <= top} (t^k - 1).  The sum runs over
-    the coefficients times P, all at 1/t, and one exact division by
-    P(1/t) * (t-1)^len(mu) ends it."""
+    the coefficients times P, all at 1/t, grouped by tau, and one exact
+    division by P(1/t) * (t-1)^len(mu) ends it."""
     if not lam:
         return ONE if not mu else ZERO
-    n = weight(mu)
     la1 = lam[0]
     tail = lam[1:]
-    den, scaled = _newton_scaled(n - la1)
+    den, scaled = _newton_scaled(weight(mu) - la1)
     acc = ZERO
-    for i in range(la1, n + 1):
-        for tau in sub_compositions(mu, i):
-            rem_star = sort_to_partition(mu[j] - tau[j] for j in range(len(mu)))
-            base = (ONE_MINUS_TINV ** nonzero_length(tau)) * _qm1_pow(len(rem_star))
-            for rho, c in scaled[i - la1].items():
-                sub = _via_newton_cached(
-                    tail, sort_to_partition(rem_star + rho))
-                acc = acc + c * (base * _qm1_pow(len(rho)) * sub)
+    for i, rem, w in _first_row_terms(lam, mu):
+        rem_star = sort_to_partition(rem)
+        inner = ZERO
+        for rho, c in scaled[i - la1].items():
+            sub = _via_newton_cached(tail, sort_to_partition(rem_star + rho))
+            inner = inner + c * sub
+        acc = acc + inner * (w * _qm1_pow(len(rem_star)))
     return acc.shift(la1).divexact(den * _qm1_pow(len(mu)))
 
 
@@ -315,7 +322,7 @@ def resolve_algorithm(algorithm="auto"):
     by their explicit names."""
     if algorithm == "auto":
         return "mn"
-    if algorithm not in ALGORITHMS:
+    if type(algorithm) is not str or algorithm not in ALGORITHMS:
         raise ValueError(f"unknown algorithm {algorithm!r}")
     return algorithm
 

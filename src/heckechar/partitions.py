@@ -47,9 +47,16 @@ def clear_caches():
 _CACHES = MEMOS.setdefault(__name__, [])
 
 
+def _as_tuple(parts, kind):
+    try:
+        return tuple(parts)
+    except TypeError:  # not iterable: None, an int, ...
+        raise ValueError(f"not a {kind}: {parts!r}") from None
+
+
 def check_partition(parts):
     """``parts`` as a tuple; ValueError unless it is a partition."""
-    parts = tuple(parts)
+    parts = _as_tuple(parts, "partition")
     prev = parts[0] if parts else 0
     for p in parts:
         if not (type(p) is int and 1 <= p <= prev):
@@ -61,10 +68,9 @@ def check_partition(parts):
 def check_composition(parts):
     """``parts`` as a tuple; ValueError unless every part is an int >= 0
     (a bool is not a part)."""
-    parts = tuple(parts)
-    for p in parts:
-        if not (type(p) is int and p >= 0):
-            raise ValueError(f"not a composition: {parts}")
+    parts = _as_tuple(parts, "composition")
+    if not all(type(p) is int and p >= 0 for p in parts):
+        raise ValueError(f"not a composition: {parts}")
     return parts
 
 

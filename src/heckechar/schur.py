@@ -22,12 +22,10 @@ Everything works in a generic variable t with exact coefficients.
 
 from __future__ import annotations
 
-from fractions import Fraction
-from math import factorial
+from collections import Counter
+from math import factorial, prod
 
-from .laurent import (
-    ZERO, ONE, T, ExactnessError, LaurentPoly, RationalFn, monomial,
-)
+from .laurent import ZERO, ONE, T, RationalFn, monomial
 from .partitions import (
     MEMOS, SkewShape, cached, check_indices, compositions_of,
     partition_tuples, sort_to_partition, strip_removals,
@@ -138,7 +136,7 @@ def _strip_matrix(lam, mu_padded):
 
 
 def _bareiss_det(rows):
-    """Fraction-free determinant over integer Laurent polynomials."""
+    """Bareiss determinant over integer Laurent polynomials."""
     n = len(rows)
     if n == 0:
         return ONE
@@ -247,7 +245,7 @@ def pairing_polynomial(lam, mu, strategy="strips"):
     lam, mu = check_indices(lam, mu)
     if strategy == "oracle":
         return _oracle_cached(lam, mu)
-    if strategy not in _PEELERS:
+    if type(strategy) is not str or strategy not in _PEELERS:
         raise ValueError(f"unknown strategy {strategy!r}")
     return _pairing_cached(lam, mu, strategy)
 
@@ -255,23 +253,14 @@ def pairing_polynomial(lam, mu, strategy="strips"):
 @cached
 def centralizer_order(lam):
     """Product of part^multiplicity * multiplicity! over distinct parts."""
-    z = 1
-    mult = {}
-    for p in lam:
-        mult[p] = mult.get(p, 0) + 1
-    for p, m in mult.items():
-        z *= p ** m * factorial(m)
-    return z
+    return prod(p ** m * factorial(m) for p, m in Counter(lam).items())
 
 
 @cached
 def centralizer_poly_factors(lam):
     """Product of (1 - t^part) over the parts; the polynomial part of the
     reciprocal deformed centralizer order."""
-    out = ONE
-    for p in lam:
-        out = out * (ONE - monomial(1, p))
-    return out
+    return prod((ONE - monomial(1, p) for p in lam), start=ONE)
 
 
 @cached
@@ -303,42 +292,40 @@ def classical_character(lam, rho):
     return _classical_mn(lam, rho)
 
 
+def _power_sum_terms(nu):
+    """For each tuple (rho_1, ..., rho_r) with rho_j a partition of nu_j,
+    the merged partition rho and the product of the z_{rho_j}: the terms
+    of prod_j h_{nu_j} = prod_j sum_{rho_j} p_{rho_j} / z_{rho_j}."""
+    for tup in partition_tuples(nu):
+        yield (sort_to_partition([p for block in tup for p in block]),
+               prod(map(centralizer_order, tup)))
+
+
 def pairing_oracle(lam, mu):
     """Independent route to the pairing polynomial.
 
     Expands each one-row factor into the power-sum basis (one partition
     per factor, weighted by the reciprocal deformed centralizer order),
-    pairs with the Schur function via classical characters, and clears
-    all integer denominators.  Shares nothing with the peeling code
-    beyond the partition enumerators.
+    pairs with the Schur function via classical characters, sums the
+    integer numerators over the denominator prod_j mu_j! and ends with
+    one exact division.  Shares nothing with the peeling code beyond the
+    partition enumerators.
     """
     return _oracle_cached(*check_indices(lam, mu))
 
 
 @cached
 def _oracle_cached(lam, mu):
-    acc = {}
-    for tup in partition_tuples(mu):
-        rho = sort_to_partition([p for block in tup for p in block])
+    # z_{rho_j} divides mu_j!, because mu_j! / z_{rho_j} is the size of
+    # the conjugacy class of S_{mu_j} of cycle type rho_j; so every term
+    # is integral over D = prod_j mu_j!
+    den = prod(map(factorial, mu))
+    acc = ZERO
+    for rho, z in _power_sum_terms(mu):
         chi = _classical_mn(lam, rho)
-        if not chi:
-            continue
-        zden = 1
-        numer = ONE
-        for block in tup:
-            zden *= centralizer_order(block)
-            numer = numer * centralizer_poly_factors(block)
-        f = Fraction(chi, zden)
-        for e, c in numer.terms.items():
-            acc[e] = acc.get(e, Fraction(0)) + c * f
-    terms = {}
-    for e, fr in acc.items():
-        if fr.denominator != 1:
-            raise ExactnessError(
-                f"oracle pairing left a non-integer coefficient {fr} at degree {e}")
-        if fr.numerator:
-            terms[e] = fr.numerator
-    return LaurentPoly(terms)
+        if chi:
+            acc = acc + centralizer_poly_factors(rho) * (chi * (den // z))
+    return acc.divexact(den)
 
 
 @cached

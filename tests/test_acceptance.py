@@ -70,10 +70,10 @@ def test_criterion_8_property_suites():
 
 def test_criterion_9_integrity_of_exact_conversions():
     # negative controls: the guards actually fire.  The det route and the
-    # matrix bitraces convert exactly along the way, and both general
-    # reductions sum over one denominator fixed in advance and end in a
-    # single divexact; they run under criteria 3 and 7, where any inexact
-    # step raises.
+    # matrix bitraces convert exactly along the way, and the three
+    # power-sum routes (oracle, gen_sn, gen_newton) sum over one
+    # denominator fixed in advance and end in a single divexact; they run
+    # under criteria 3 and 7, where any inexact step raises.
     with pytest.raises(ExactnessError):
         RationalFn(ONE, ONE - T).to_laurent()
     with pytest.raises(ExactnessError):

@@ -179,6 +179,8 @@ def test_bitrace_errors():
 @pytest.mark.parametrize("lam, mu", [
     ((3, -1), (2,)),          # negative part
     ((2,), (1.0, 1.0)),       # non-int parts
+    (None, (1,)),             # not iterable
+    ((1,), 3),
 ])
 def test_bitrace_rejects_malformed_compositions(lam, mu):
     routes = (lambda a, b: bitrace(a, b, "matrices"),
@@ -197,7 +199,7 @@ def test_bitrace_rejects_malformed_compositions(lam, mu):
     supercharacter_hooks, supercharacter_hooks_explicit,
     supercharacter_two_rows, supercharacter_two_rows_explicit,
 ])
-@pytest.mark.parametrize("mu", [(2, -1), (3, -1), (1.0, 1.0)])
+@pytest.mark.parametrize("mu", [(2, -1), (3, -1), (1.0, 1.0), None, 5])
 def test_lone_mu_rejects_malformed_compositions(route, mu):
     with pytest.raises(ValueError):
         route(mu)

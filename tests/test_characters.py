@@ -18,7 +18,7 @@ from heckechar.characters import (
     character_via_newton, character_via_sn, document_to_table, dumps_table,
     entry_document, hook_character, hook_weights, loads_table, mn_character,
     normalize_g_to_chi, resolve_algorithm, two_row_character,
-    two_row_cumulative, two_row_weights,
+    _v_product, two_row_cumulative, two_row_weights,
 )
 
 from oracles import reference_document
@@ -77,6 +77,15 @@ def test_one_row_one_column_laws():
             assert character((n,), mu) == monomial(1, n - l)
             assert character((1,) * n, mu) == \
                 LaurentPoly.const(-1 if (n - l) % 2 else 1)
+
+
+def test_v_product():
+    # products of polynomials in the auxiliary variable v of the weights
+    two_factors = _v_product([[ONE, ONE], [ONE, ONE]])
+    assert two_factors == (ONE, LaurentPoly.const(2), ONE)
+    tinv = monomial(1, -1)
+    mixed = _v_product([[ONE, -tinv], [ONE, ONE]])
+    assert mixed == (ONE, ONE - tinv, -tinv)
 
 
 def test_weight_sequences_frozen():
@@ -237,6 +246,11 @@ def test_character_interface():
         character((2,), (1, 1, 1))
     with pytest.raises(ValueError):
         character((2, 1), (2, 1), "nope")
+    # an unhashable name is an unknown name, not a TypeError
+    with pytest.raises(ValueError):
+        char_table(2, ["mn"])
+    with pytest.raises(ValueError):
+        character((2, 1), (2, 1), ["mn"])
     # the degree of a table is an int; a bool one would be written as
     # "n": True, which is not JSON
     for n in (-1, True, 2.0, "3", None):
@@ -252,6 +266,8 @@ def test_character_interface():
     ((2,), (1.0, 1.0)),       # non-int parts in mu
     ((True,), (1,)),          # a bool is not a part
     ((1,), (True,)),
+    (None, (1,)),             # an index that is not iterable
+    ((1,), 5),
 ])
 def test_character_rejects_malformed_indices(lam, mu, algorithm):
     with pytest.raises(ValueError):

@@ -2,7 +2,6 @@ import random
 
 import pytest
 
-from heckechar.characters import _v_product
 from heckechar.laurent import (
     ONE, T, ZERO, ExactnessError, LaurentPoly, RationalFn, monomial,
     poly_gcd,
@@ -127,15 +126,6 @@ def test_rational_errors():
     with pytest.raises(ExactnessError) as exc:
         RationalFn(ONE, ONE - T).to_laurent()
     assert exc.value.remainder is not None
-
-
-def test_polyv():
-    # products of polynomials in the auxiliary variable v of the weights
-    two_factors = _v_product([[ONE, ONE], [ONE, ONE]])
-    assert two_factors == (ONE, LaurentPoly.const(2), ONE)
-    tinv = monomial(1, -1)
-    mixed = _v_product([[ONE, -tinv], [ONE, ONE]])
-    assert mixed == (ONE, ONE - tinv, -tinv)
 
 
 def test_serialization_pairs():

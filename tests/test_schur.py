@@ -2,9 +2,10 @@ import random
 
 import pytest
 
+from heckechar import schur
 from heckechar.laurent import ONE, T, ZERO, ExactnessError, RationalFn, monomial
 from heckechar.partitions import (
-    inner_corner_removals, partition_tuples, partitions_of,
+    clear_caches, inner_corner_removals, partition_tuples, partitions_of,
     standard_tableaux_count, subpartitions_of_weight,
 )
 from heckechar.schur import (
@@ -186,6 +187,13 @@ def test_pairing_errors():
         pairing_polynomial((2,), (1, 1, 1))
     with pytest.raises(ValueError):
         pairing_polynomial((2, 1), (2, 1), "bogus")
+    # an unhashable name and a non-iterable index are input errors too
+    with pytest.raises(ValueError):
+        pairing_polynomial((1,), (1,), ["x"])
+    with pytest.raises(ValueError):
+        pairing_oracle(None, (1,))
+    with pytest.raises(ValueError):
+        classical_character(7, (1,))
 
 
 def test_classical_character_values():
@@ -224,11 +232,21 @@ def test_centralizer_values():
         assert signed == RationalFn(monomial(1, n) - monomial(1, n - 1))
 
 
-def test_oracle_exactness_is_enforced():
-    # the oracle clears every integer denominator; a failure would raise
+def test_oracle_exactness_is_enforced(monkeypatch):
+    # the oracle sums over one denominator and ends in one exact division
     for lam in partitions_of(6):
         for mu in partitions_of(6):
             pairing_oracle(lam, mu)
+    # negative control: one wrong classical value leaves a remainder, and
+    # the division raises instead of returning a value
+    clear_caches()
+    with monkeypatch.context() as m:
+        right = schur._classical_mn
+        m.setattr(schur, "_classical_mn",
+                  lambda lam, rho: right(lam, rho) + (rho == (1, 1, 1)))
+        with pytest.raises(ExactnessError):
+            pairing_oracle((2, 1), (3,))
+    clear_caches()
     # indices are validated before the memo: a list is accepted, and two
     # orders of one composition share a single memo entry
     assert pairing_oracle((2, 1), [1, 1, 1]) == \
