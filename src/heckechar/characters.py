@@ -4,7 +4,10 @@ polynomials in q.
 Public entry point is :func:`character`, which runs one of:
 
 * the q-deformed Murnaghan-Nakayama recursion over broken border strips
-  (``mn``, also what ``auto`` means for every shape);
+  (``mn``, also what ``auto`` means for every shape); it evaluates at
+  q = 2^64, one int per value with a bound on its L1 norm, and reads the
+  coefficients back as balanced base-2^64 digits, so a bound of 2^63 or
+  more raises OverflowError (no reachable degree comes near it);
 * closed forms for one-row, one-column, hook and two-row shapes, driven
   by two weight sequences obtained from small generating-function
   products; each is an explicit route only, chosen by its name;
@@ -33,7 +36,9 @@ from dataclasses import dataclass, field
 from itertools import chain
 from math import factorial, prod
 
-from .laurent import ZERO, ONE, T, ExactnessError, LaurentPoly, monomial
+from .laurent import (
+    ZERO, ONE, T, ExactnessError, LaurentPoly, monomial, pack, unpack,
+)
 # clear_caches is re-exported: the CLI and the benchmark call it from here
 from .partitions import (
     MEMOS, cached, check_composition, check_indices, clear_caches,
@@ -152,35 +157,59 @@ def two_row_cumulative(mu):
 
 # -- Murnaghan-Nakayama recursion ---------------------------------------
 
+@cached
+def _strip_weight(m, odd_rows, csum):
+    w = _qm1_pow(m - 1).shift(csum)
+    return -w if odd_rows else w
+
+
+@cached
+def _packed_weight(m, odd_rows, csum):
+    return pack(_strip_weight(m, odd_rows, csum))
+
+
+def _weight_key(comps):
+    """(m, parity of the sum of rows - 1, sum of cols - 1) over the
+    components: all the strip weight depends on."""
+    return (len(comps), sum(c.rows - 1 for c in comps) % 2,
+            sum(c.cols - 1 for c in comps))
+
+
 def broken_strip_weight(comps):
     """(q-1)^(m-1) * prod (-1)^(rows-1) q^(cols-1) over the components."""
-    m = len(comps)
-    rsum = sum(c.rows - 1 for c in comps)
-    csum = sum(c.cols - 1 for c in comps)
-    w = _qm1_pow(m - 1).shift(csum)
-    return -w if rsum % 2 else w
+    return _strip_weight(*_weight_key(comps))
+
+
+@cached
+def _mn_strips(lam, k):
+    """(nu, packed weight, 2^(m-1)) for each broken k-strip lam/nu; the
+    last is the L1 norm of the weight."""
+    return tuple(
+        (nu, _packed_weight(*_weight_key(comps)), 1 << (len(comps) - 1))
+        for nu, comps in strip_removals(lam, k))
 
 
 @cached
 def _mn_cached(lam, mu):
+    """(chi(Q), L) at Q = 2^64: the character packed, and a bound on its
+    L1 norm, the sum over strips of 2^(m-1) * L(sub)."""
     if not mu:
-        return ONE if not lam else ZERO
-    k = mu[0]
+        return (0, 0) if lam else (1, 1)
     rest = mu[1:]
-    acc = ZERO
-    for nu, comps in strip_removals(lam, k):
-        sub = _mn_cached(nu, rest)
-        if sub.is_zero():
-            continue
-        acc = acc + broken_strip_weight(comps) * sub
-    return acc
+    v = norm = 0
+    for nu, w, w_norm in _mn_strips(lam, mu[0]):
+        sub, sub_norm = _mn_cached(nu, rest)
+        if sub:
+            v += w * sub
+            norm += w_norm * sub_norm
+    return v, norm
 
 
 def mn_character(lam, mu):
     """Character by removing a broken border strip for each part of mu,
     largest part first."""
     lam, mu = check_indices(lam, mu)
-    return _mn_cached(lam, mu)
+    return unpack(*_mn_cached(lam, mu))
 
 
 # -- general reduction formulas -----------------------------------------
@@ -364,12 +393,15 @@ def char_table(n, algorithm="auto"):
     if type(n) is not int or n < 0:
         raise ValueError(f"n must be a non-negative int, not {n!r}")
     tag = resolve_algorithm(algorithm)
+    route = ALGORITHMS[tag]
     table = CharTable(n=n)
     parts = partitions_of(n)
     for lam in parts:
         for mu in parts:
+            # valid indices by construction; only n = 0 has the empty
+            # pair, whose value character() gives every route
             table.provenance[(lam, mu)] = tag
-            table.entries[(lam, mu)] = character(lam, mu, tag)
+            table.entries[(lam, mu)] = route(lam, mu) if lam else ONE
     return table
 
 

@@ -15,6 +15,7 @@ No floating point appears anywhere.
 
 from __future__ import annotations
 
+import struct
 from math import gcd
 
 
@@ -288,6 +289,40 @@ T = LaurentPoly._raw({1: 1})
 
 def monomial(coeff, exp):
     return LaurentPoly._raw({exp: coeff}) if coeff else ZERO
+
+
+# -- Kronecker substitution: a polynomial as its value at 2^64 ------------
+
+_HALF = 1 << 63
+_BIAS_DIGIT = bytes(7) + b"\x80"   # 2^63 as 8 little-endian bytes
+
+
+def pack(poly, offset=0):
+    """The value at q = 2^64 of ``poly * q^offset``, whose exponents must
+    all be non-negative."""
+    return sum(c << (64 * (e + offset)) for e, c in poly.terms.items())
+
+
+def unpack(v, norm, offset=0):
+    """The polynomial p with ``pack(p, offset) == v``, given a bound
+    ``norm`` on the absolute value of every coefficient (the L1 norm is
+    one).
+
+    The balanced base-2^64 digits of ``v``, each in [-2^63, 2^63), are
+    p's coefficients whenever every coefficient lies in that range, so a
+    norm of 2^63 or more raises OverflowError: a capacity limit of the
+    packing, not an inexact division.
+    """
+    if norm >= _HALF:
+        raise OverflowError(f"coefficient bound {norm} needs more than a "
+                            "balanced 64-bit digit")
+    # adding 2^63 to every digit makes them all non-negative, so one
+    # conversion to bytes reads them all
+    size = abs(v).bit_length() // 64 + 2
+    biased = v + int.from_bytes(_BIAS_DIGIT * size, "little")
+    digits = struct.unpack(f"<{size}Q", biased.to_bytes(8 * size, "little"))
+    return LaurentPoly._raw({e - offset: d - _HALF
+                             for e, d in enumerate(digits) if d != _HALF})
 
 
 def _divmod_honest(a, b):

@@ -242,7 +242,7 @@ def partition_tuples(nu):
     return itertools.product(*(partitions_of(k) for k in nu))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class StripComponent:
     """Row/column/box counts of one connected piece of a skew shape."""
     rows: int

@@ -7,10 +7,10 @@ from concurrent.futures import ThreadPoolExecutor
 import pytest
 
 from heckechar.laurent import (
-    ONE, T, ZERO, ExactnessError, LaurentPoly, RationalFn, monomial,
+    ONE, T, ZERO, ExactnessError, LaurentPoly, RationalFn, monomial, pack,
 )
 from heckechar.partitions import (
-    format_partition, partitions_of, standard_tableaux_count,
+    format_partition, partitions_of, standard_tableaux_count, strip_removals,
 )
 from heckechar.schur import classical_character, pairing_polynomial
 from heckechar.characters import (
@@ -18,7 +18,8 @@ from heckechar.characters import (
     character_via_newton, character_via_sn, document_to_table, dumps_table,
     entry_document, hook_character, hook_weights, loads_table, mn_character,
     normalize_g_to_chi, resolve_algorithm, two_row_character,
-    _v_product, two_row_cumulative, two_row_weights,
+    _v_product, two_row_cumulative, two_row_weights, broken_strip_weight,
+    _mn_strips,
 )
 
 from oracles import reference_document
@@ -347,8 +348,31 @@ def test_small_tables():
     column = [t3.value(lam, (1, 1, 1)) for lam in partitions_of(3)]
     assert column == [ONE, 2 * ONE, ONE]
 
-    t0 = char_table(0)
-    assert t0.value((), ()) == ONE
+    for algorithm in ALGORITHM_NAMES:
+        t0 = char_table(0, algorithm)
+        assert t0.value((), ()) == ONE
+        assert t0.provenance[((), ())] == resolve_algorithm(algorithm)
+
+
+def test_packed_strip_weights_are_the_strip_weights():
+    # the packed recursion multiplies by exactly the weight verify checks
+    for n in range(1, 9):
+        for lam in partitions_of(n):
+            for k in range(1, n + 1):
+                packed = _mn_strips(lam, k)
+                strips = strip_removals(lam, k)
+                assert [nu for nu, _, _ in packed] == [nu for nu, _ in strips]
+                for (_, w, norm), (_, comps) in zip(packed, strips):
+                    assert w == pack(broken_strip_weight(comps))
+                    assert norm == 2 ** (len(comps) - 1)
+
+
+def test_packed_table_matches_dict_route():
+    # mn runs on packed ints, strips on LaurentPoly dict arithmetic
+    packed, peeled = char_table(9, "mn"), char_table(9, "strips")
+    assert packed.entries.keys() == peeled.entries.keys()
+    for key, value in packed.entries.items():
+        assert value == peeled.entries[key], key
 
 
 def test_table_q1_matches_classical():

@@ -3,8 +3,8 @@ import random
 import pytest
 
 from heckechar.laurent import (
-    ONE, T, ZERO, ExactnessError, LaurentPoly, RationalFn, monomial,
-    poly_gcd,
+    ONE, T, ZERO, ExactnessError, LaurentPoly, RationalFn, monomial, pack,
+    poly_gcd, unpack,
 )
 
 
@@ -139,6 +139,32 @@ def test_serialization_pairs():
     for bad in ([5], [(1, "1")], [[1, "1", 2]], [[1]]):
         with pytest.raises(ValueError):
             LaurentPoly.from_pairs(bad)
+
+
+def test_pack_unpack_round_trip():
+    rng = random.Random(2009)
+    for _ in range(200):
+        p = rand_poly(rng, max_terms=6, max_coeff=10 ** 6)
+        # negative exponents pack under an offset that lifts them to >= 0
+        v = pack(p, offset=3)
+        assert v == sum(c * 2 ** (64 * (e + 3)) for e, c in p.terms.items())
+        assert unpack(v, sum(abs(c) for c in p.terms.values()), offset=3) == p
+    signs = LaurentPoly({0: -1, 1: 1, 2: -(2 ** 63 - 1), 4: 2 ** 63 - 1})
+    assert unpack(pack(signs), 2 ** 63 - 1) == signs
+    assert pack(ZERO) == 0
+    assert unpack(0, 0) == ZERO and unpack(0, 0, offset=5) == ZERO
+
+
+def test_unpack_capacity_limit():
+    p = LaurentPoly({0: 2 ** 62, 1: -(2 ** 62) + 1})
+    assert unpack(pack(p), 2 ** 63 - 1) == p
+    # a bound of 2^63 could hide a coefficient of 2^63 that reads as
+    # -2^63 plus a carry, so it is refused, not misread
+    with pytest.raises(OverflowError):
+        unpack(pack(p), 2 ** 63)
+    with pytest.raises(OverflowError):
+        unpack(2 ** 63, 2 ** 63)
+    assert not issubclass(OverflowError, ExactnessError)
 
 
 def test_rational_serialization():
