@@ -6,8 +6,9 @@ Public entry point is :func:`character`, which runs one of:
 * the q-deformed Murnaghan-Nakayama recursion over broken border strips
   (``mn``, also what ``auto`` means for every shape); it evaluates at
   q = 2^64, one int per value with a bound on its L1 norm, and reads the
-  coefficients back as balanced base-2^64 digits, so a bound of 2^63 or
-  more raises OverflowError (no reachable degree comes near it);
+  coefficients back as balanced base-2^64 digits; a value whose bound
+  reaches 2^63 (at mu = 1^n the bound is the number of standard
+  tableaux) is summed over its strips in polynomial arithmetic instead;
 * closed forms for one-row, one-column, hook and two-row shapes, driven
   by two weight sequences obtained from small generating-function
   products; each is an explicit route only, chosen by its name;
@@ -205,11 +206,29 @@ def _mn_cached(lam, mu):
     return v, norm
 
 
+def _mn_value(lam, mu):
+    """The packed value read back, or, when its bound is too wide for a
+    64-bit digit, the strip sum of its sub-values in polynomial
+    arithmetic."""
+    try:
+        return unpack(*_mn_cached(lam, mu))
+    except OverflowError:
+        return _mn_wide(lam, mu)
+
+
+@cached
+def _mn_wide(lam, mu):
+    acc = ZERO
+    for nu, comps in strip_removals(lam, mu[0]):
+        acc = acc + broken_strip_weight(comps) * _mn_value(nu, mu[1:])
+    return acc
+
+
 def mn_character(lam, mu):
     """Character by removing a broken border strip for each part of mu,
     largest part first."""
     lam, mu = check_indices(lam, mu)
-    return unpack(*_mn_cached(lam, mu))
+    return _mn_value(lam, mu)
 
 
 # -- general reduction formulas -----------------------------------------
@@ -363,9 +382,12 @@ def character(lam, mu, algorithm="auto"):
     sorted (the value depends only on its part multiset).
     """
     lam, mu = check_indices(lam, mu)
-    if not lam:
-        return ONE
-    return ALGORITHMS[resolve_algorithm(algorithm)](lam, mu)
+    return _run(ALGORITHMS[resolve_algorithm(algorithm)], lam, mu)
+
+
+def _run(route, lam, mu):
+    """``route`` at valid indices; the empty pair is ONE on every route."""
+    return route(lam, mu) if lam else ONE
 
 
 # -- tables and persistence ----------------------------------------------
@@ -398,10 +420,9 @@ def char_table(n, algorithm="auto"):
     parts = partitions_of(n)
     for lam in parts:
         for mu in parts:
-            # valid indices by construction; only n = 0 has the empty
-            # pair, whose value character() gives every route
+            # valid indices by construction, so no check_indices
             table.provenance[(lam, mu)] = tag
-            table.entries[(lam, mu)] = route(lam, mu) if lam else ONE
+            table.entries[(lam, mu)] = _run(route, lam, mu)
     return table
 
 

@@ -297,16 +297,15 @@ _HALF = 1 << 63
 _BIAS_DIGIT = bytes(7) + b"\x80"   # 2^63 as 8 little-endian bytes
 
 
-def pack(poly, offset=0):
-    """The value at q = 2^64 of ``poly * q^offset``, whose exponents must
-    all be non-negative."""
-    return sum(c << (64 * (e + offset)) for e, c in poly.terms.items())
+def pack(poly):
+    """The value of ``poly`` at q = 2^64; its exponents must all be
+    non-negative."""
+    return sum(c << (64 * e) for e, c in poly.terms.items())
 
 
-def unpack(v, norm, offset=0):
-    """The polynomial p with ``pack(p, offset) == v``, given a bound
-    ``norm`` on the absolute value of every coefficient (the L1 norm is
-    one).
+def unpack(v, norm):
+    """The polynomial p with ``pack(p) == v``, given a bound ``norm`` on
+    the absolute value of every coefficient (the L1 norm is one).
 
     The balanced base-2^64 digits of ``v``, each in [-2^63, 2^63), are
     p's coefficients whenever every coefficient lies in that range, so a
@@ -321,7 +320,7 @@ def unpack(v, norm, offset=0):
     size = abs(v).bit_length() // 64 + 2
     biased = v + int.from_bytes(_BIAS_DIGIT * size, "little")
     digits = struct.unpack(f"<{size}Q", biased.to_bytes(8 * size, "little"))
-    return LaurentPoly._raw({e - offset: d - _HALF
+    return LaurentPoly._raw({e: d - _HALF
                              for e, d in enumerate(digits) if d != _HALF})
 
 

@@ -1,3 +1,4 @@
+import functools
 import hashlib
 import importlib
 import json
@@ -19,7 +20,7 @@ from heckechar.characters import (
     entry_document, hook_character, hook_weights, loads_table, mn_character,
     normalize_g_to_chi, resolve_algorithm, two_row_character,
     _v_product, two_row_cumulative, two_row_weights, broken_strip_weight,
-    _mn_strips,
+    _mn_cached, _mn_strips,
 )
 
 from oracles import reference_document
@@ -232,6 +233,9 @@ def test_polynomiality_and_degree_bound():
 
 def test_character_interface():
     assert character((), ()) == ONE
+    # the route name is checked at the empty pair too, as char_table(0) does
+    with pytest.raises(ValueError):
+        character((), (), "bogus")
     # the lower index is a multiset
     assert character((3, 1), (1, 2, 1)) == character((3, 1), (2, 1, 1))
     # zero parts of the lower index are dropped
@@ -368,11 +372,33 @@ def test_packed_strip_weights_are_the_strip_weights():
 
 
 def test_packed_table_matches_dict_route():
-    # mn runs on packed ints, strips on LaurentPoly dict arithmetic
+    # cross-checks the packed-int recursion (mn) against a route on
+    # LaurentPoly dict arithmetic (strips); TABLE_DIGESTS pins mn alone
     packed, peeled = char_table(9, "mn"), char_table(9, "strips")
     assert packed.entries.keys() == peeled.entries.keys()
     for key, value in packed.entries.items():
         assert value == peeled.entries[key], key
+
+
+def test_wide_bound_falls_back_to_polynomials():
+    # at mu = 1^49 the bound is f^lam, about 4.7e23 for lam = 7^7: past
+    # one 64-bit digit, so the value is summed from its strips
+    lam = (7,) * 7
+    ones = (1,) * 49
+    assert _mn_cached(lam, ones)[1] == standard_tableaux_count(lam) >= 2 ** 63
+    assert character(lam, ones) == standard_tableaux_count(lam) * ONE
+
+    @functools.cache
+    def reference(lam, mu):
+        # the strip recursion on LaurentPoly arithmetic throughout
+        if not mu:
+            return ZERO if lam else ONE
+        return sum((broken_strip_weight(comps) * reference(nu, mu[1:])
+                    for nu, comps in strip_removals(lam, mu[0])), ZERO)
+
+    mixed = (3, 2, 2) + (1,) * 42
+    assert _mn_cached(lam, mixed)[1] >= 2 ** 63
+    assert character(lam, mixed) == reference(lam, mixed)
 
 
 def test_table_q1_matches_classical():

@@ -144,15 +144,15 @@ def test_serialization_pairs():
 def test_pack_unpack_round_trip():
     rng = random.Random(2009)
     for _ in range(200):
-        p = rand_poly(rng, max_terms=6, max_coeff=10 ** 6)
-        # negative exponents pack under an offset that lifts them to >= 0
-        v = pack(p, offset=3)
-        assert v == sum(c * 2 ** (64 * (e + 3)) for e, c in p.terms.items())
-        assert unpack(v, sum(abs(c) for c in p.terms.values()), offset=3) == p
+        # exponents lifted to >= 0; coefficients of both signs
+        p = rand_poly(rng, max_terms=6, max_coeff=10 ** 6).shift(3)
+        v = pack(p)
+        assert v == sum(c * 2 ** (64 * e) for e, c in p.terms.items())
+        assert unpack(v, sum(abs(c) for c in p.terms.values())) == p
     signs = LaurentPoly({0: -1, 1: 1, 2: -(2 ** 63 - 1), 4: 2 ** 63 - 1})
     assert unpack(pack(signs), 2 ** 63 - 1) == signs
     assert pack(ZERO) == 0
-    assert unpack(0, 0) == ZERO and unpack(0, 0, offset=5) == ZERO
+    assert unpack(0, 0) == ZERO
 
 
 def test_unpack_capacity_limit():
