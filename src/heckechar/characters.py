@@ -43,8 +43,8 @@ from .laurent import (
 # clear_caches is re-exported: the CLI and the benchmark call it from here
 from .partitions import (
     MEMOS, cached, check_composition, check_indices, clear_caches,
-    nonzero_length, partition_count, partitions_of, sort_to_partition,
-    strip_removals, sub_compositions, weight,
+    conjugate, nonzero_length, partition_count, partitions_of,
+    sort_to_partition, strip_removals, sub_compositions, weight,
 )
 from .schur import (
     _classical_mn, _omt_pow, _power_sum_terms, centralizer_order,
@@ -347,18 +347,21 @@ def _via_peel(strategy):
     return run
 
 
+# Routes get valid indices (character() checks them, char_table builds
+# them), so mn and gen_newton map to their cores, not the checking
+# public functions.
 ALGORITHMS = {
     "one_row": _one_row,
     "one_column": _one_column,
     "hook": _hook_alg,
     "two_row": _two_row_alg,
-    "mn": mn_character,
+    "mn": _mn_value,
     "iterative": _via_peel("iterative"),
     "det": _via_peel("det"),
     "strips": _via_peel("strips"),
     "oracle": _via_peel("oracle"),
     "gen_sn": character_via_sn,
-    "gen_newton": character_via_newton,
+    "gen_newton": _via_newton_cached,
 }
 
 ALGORITHM_NAMES = ("auto",) + tuple(ALGORITHMS)
@@ -406,23 +409,51 @@ class CharTable:
         return self.entries[(tuple(lam), sort_to_partition(mu))]
 
 
+def _mirror(poly, s):
+    """(-q)^s * poly(1/q): the duality's image of a value, with
+    s = n - len(mu)."""
+    return LaurentPoly._raw({s - e: -c if s % 2 else c
+                             for e, c in poly.terms.items()})
+
+
 def char_table(n, algorithm="auto"):
     """Fill the full table of character values for degree n.
 
     Both indices run over the partitions of n in reverse-lexicographic
-    order; each entry records the route that produced it.
+    order.  The route runs on the rows with lam >= lam' (as tuples); each
+    other row is read off its conjugate's row, which that order fills
+    first, through the duality
+    chi^lam_mu(q) = (-q)^(n - len(mu)) * chi^lam'_mu(1/q).  The route
+    also computes a mirrored row's entry at mu = (n), which must equal
+    the mirrored value (ExactnessError otherwise) and lets a closed form
+    reject a shape outside its family.  Each entry's tag names the route
+    whose values fill the table; about half of them are read through the
+    duality.
     """
     if type(n) is not int or n < 0:
         raise ValueError(f"n must be a non-negative int, not {n!r}")
     tag = resolve_algorithm(algorithm)
     route = ALGORITHMS[tag]
     table = CharTable(n=n)
+    entries, provenance = table.entries, table.provenance
     parts = partitions_of(n)
+    # valid indices by construction, so no check_indices
     for lam in parts:
-        for mu in parts:
-            # valid indices by construction, so no check_indices
-            table.provenance[(lam, mu)] = tag
-            table.entries[(lam, mu)] = _run(route, lam, mu)
+        conj = conjugate(lam)
+        if conj > lam:
+            probe = _run(route, lam, parts[0])
+            row = [_mirror(entries[(conj, mu)], n - len(mu))
+                   for mu in parts]
+            if row[0] != probe:
+                raise ExactnessError(
+                    f"duality fails at lambda={lam}, mu={parts[0]}: the "
+                    f"route gives {probe.format('q')}, the mirror "
+                    f"{row[0].format('q')}")
+        else:
+            row = [_run(route, lam, mu) for mu in parts]
+        for mu, value in zip(parts, row):
+            provenance[(lam, mu)] = tag
+            entries[(lam, mu)] = value
     return table
 
 

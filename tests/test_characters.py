@@ -3,6 +3,7 @@ import hashlib
 import importlib
 import json
 import pkgutil
+import re
 from concurrent.futures import ThreadPoolExecutor
 
 import pytest
@@ -20,7 +21,7 @@ from heckechar.characters import (
     entry_document, hook_character, hook_weights, loads_table, mn_character,
     normalize_g_to_chi, resolve_algorithm, two_row_character,
     _v_product, two_row_cumulative, two_row_weights, broken_strip_weight,
-    _mn_cached, _mn_strips,
+    _mn_cached, _mn_strips, clear_caches,
 )
 
 from oracles import reference_document
@@ -373,11 +374,75 @@ def test_packed_strip_weights_are_the_strip_weights():
 
 def test_packed_table_matches_dict_route():
     # cross-checks the packed-int recursion (mn) against a route on
-    # LaurentPoly dict arithmetic (strips); TABLE_DIGESTS pins mn alone
+    # LaurentPoly dict arithmetic (strips); TABLE_DIGESTS pins mn alone.
+    # Both tables mirror the same rows, so this compares the rows with
+    # lam >= lam'; the per-entry test below checks the mirrored ones
     packed, peeled = char_table(9, "mn"), char_table(9, "strips")
     assert packed.entries.keys() == peeled.entries.keys()
     for key, value in packed.entries.items():
         assert value == peeled.entries[key], key
+
+
+@pytest.mark.parametrize("algorithm, n_max", [("auto", 10)] + [
+    (alg, 6) for alg in
+    ("strips", "det", "iterative", "oracle", "gen_sn", "gen_newton")])
+def test_table_matches_per_entry_character(algorithm, n_max):
+    # character() runs the route on every entry, mirrored rows included
+    for n in range(n_max + 1):
+        parts = partitions_of(n)
+        table = char_table(n, algorithm)
+        assert list(table.entries) == [(lam, mu) for lam in parts
+                                       for mu in parts]
+        for (lam, mu), value in table.entries.items():
+            assert value == character(lam, mu, algorithm), (lam, mu)
+
+
+CLOSED_FORM_FAMILIES = {
+    "one_row": lambda lam: len(lam) <= 1,
+    "one_column": lambda lam: all(p == 1 for p in lam),
+    "hook": lambda lam: all(p == 1 for p in lam[1:]),
+    "two_row": lambda lam: len(lam) <= 2,
+}
+
+
+@pytest.mark.parametrize("name", CLOSED_FORM_FAMILIES)
+def test_closed_form_tables_reject_shapes_outside_the_family(name):
+    # a mirrored row still runs the route at mu = (n), so a closed form
+    # raises at the first shape it does not cover, mirrored or not
+    for n in range(7):
+        outside = [lam for lam in partitions_of(n)
+                   if not CLOSED_FORM_FAMILIES[name](lam)]
+        if not outside:
+            assert char_table(n, name).entries == char_table(n).entries
+            continue
+        with pytest.raises(ValueError) as want:
+            character(outside[0], (n,), name)
+        with pytest.raises(ValueError) as got:
+            char_table(n, name)
+        assert str(got.value) == str(want.value), (n, name)
+
+
+def test_closed_form_tables_raise_at_mirrored_rows():
+    # each failing row is the mirror of a row the closed form covers
+    for n, name, lam in ((2, "one_row", (1, 1)), (3, "two_row", (1, 1, 1)),
+                         (4, "two_row", (2, 1, 1))):
+        with pytest.raises(ValueError, match=re.escape(str(lam))):
+            char_table(n, name)
+
+
+def test_table_probe_catches_a_broken_mirror(monkeypatch):
+    # negative control: one wrong value at ((3, 1), (4,)) is mirrored into
+    # the row (2, 1, 1), where the route's own entry at (4,) disagrees
+    clear_caches()
+    right = ALGORITHMS["mn"]
+    with monkeypatch.context() as m:
+        m.setitem(ALGORITHMS, "mn", lambda lam, mu: right(lam, mu) + (
+            ONE if (lam, mu) == ((3, 1), (4,)) else ZERO))
+        with pytest.raises(ExactnessError,
+                           match=re.escape("lambda=(2, 1, 1), mu=(4,)")):
+            char_table(4)
+    clear_caches()
+    assert char_table(4).entries == char_table(4, "strips").entries
 
 
 def test_wide_bound_falls_back_to_polynomials():
