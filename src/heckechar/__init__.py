@@ -12,9 +12,7 @@ term.  The ``heckechar`` console script exposes the same functionality,
 including a self-verification mode.
 """
 
-from .laurent import (
-    ExactnessError, LaurentPoly, RationalFn, monomial, poly_gcd,
-)
+from .laurent import ExactnessError, LaurentPoly, monomial, poly_gcd
 from .partitions import (
     SkewShape, StripComponent, analyze_skew, conjugate, contingency_matrices,
     format_partition, inner_corner_removals, parse_composition,
@@ -22,16 +20,13 @@ from .partitions import (
     standard_tableaux_count, strip_removals, sub_compositions,
 )
 from .schur import (
-    classical_character, centralizer_order, det_matrix, det_value,
-    newton_coeffs, pairing_oracle, pairing_polynomial, peel_det,
-    peel_iterative, peel_strips, straighten,
+    classical_character, centralizer_order, newton_coeffs,
+    pairing_polynomial, peel_det, peel_iterative, peel_strips, straighten,
 )
 from .characters import (
     ALGORITHMS, ALGORITHM_NAMES, CharTable, char_table, character,
-    clear_caches, dumps_table, hook_character, hook_weights, load_table,
-    loads_table, mn_character, normalize_g_to_chi, character_via_newton,
-    character_via_sn, save_table, two_row_character, two_row_cumulative,
-    two_row_weights,
+    clear_caches, dumps_table, hook_weights, load_table, loads_table,
+    normalize_g_to_chi, save_table, two_row_cumulative, two_row_weights,
 )
 from .applications import (
     bitrace, bitrace_via_gram, bracket_identity_check, entry_weight,

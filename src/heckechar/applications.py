@@ -21,6 +21,14 @@ def neg_q_bracket(k):
     return LaurentPoly({j: (-1 if j % 2 else 1) for j in range(k)})
 
 
+def _lone_mu(mu):
+    """``mu`` sorted into a partition; the sums need it nonempty."""
+    mu = sort_to_partition(check_composition(mu))
+    if not mu:
+        raise ValueError("mu must be nonempty")
+    return mu
+
+
 def supercharacter_hooks(mu):
     """Character of the (1,1) sign q-permutation representation at mu:
     the sum of all hook characters.
@@ -28,9 +36,7 @@ def supercharacter_hooks(mu):
     Closed form (-1)^(n-l) 2^(l-1) prod over parts of the alternating
     bracket.
     """
-    mu = sort_to_partition(check_composition(mu))
-    if not mu:
-        raise ValueError("mu must be nonempty")
+    mu = _lone_mu(mu)
     n, l = weight(mu), len(mu)
     closed = LaurentPoly.const(2 ** (l - 1))
     for p in mu:
@@ -42,7 +48,7 @@ def supercharacter_hooks(mu):
 
 def supercharacter_hooks_explicit(mu):
     """The defining sum over all hooks of degree n."""
-    mu = sort_to_partition(check_composition(mu))
+    mu = _lone_mu(mu)
     n = weight(mu)
     total = ZERO
     for i in range(n):
@@ -58,9 +64,7 @@ def supercharacter_two_rows(mu):
     The closed form q^(n - 2l) prod (1 + q + part*(q-1)) may have a
     negative exponent; the identity holds exactly in the Laurent ring.
     """
-    mu = sort_to_partition(check_composition(mu))
-    if not mu:
-        raise ValueError("mu must be nonempty")
+    mu = _lone_mu(mu)
     n, l = weight(mu), len(mu)
     closed = ONE
     for p in mu:
@@ -69,7 +73,7 @@ def supercharacter_two_rows(mu):
 
 
 def supercharacter_two_rows_explicit(mu):
-    mu = sort_to_partition(check_composition(mu))
+    mu = _lone_mu(mu)
     n = weight(mu)
     total = ZERO
     for i in range(n // 2 + 1):
@@ -117,20 +121,26 @@ def gram_pairing(lam, mu):
     return total
 
 
+def _bitrace_indices(lam, mu):
+    """Both compositions with zero parts trimmed (they contribute empty
+    rows/columns and would skew the exponent); equal weight, at least 1."""
+    lam = tuple(p for p in check_composition(lam) if p)
+    mu = tuple(p for p in check_composition(mu) if p)
+    check_weights(lam, mu)
+    if not lam:
+        raise ValueError("bitrace requires weight at least 1")
+    return lam, mu
+
+
 def bitrace(lam, mu, method="matrices"):
     """Bitrace of the regular representation at a pair of compositions.
 
     ``matrices`` sums entry weights over contingency matrices and divides
     by (q-1)^(r+s) exactly; ``char_sum`` evaluates the defining sum of
-    products of irreducible characters.  Zero parts are trimmed first
-    (they contribute empty rows/columns and would skew the exponent).
+    products of irreducible characters.  Zero parts are trimmed first.
     """
-    lam = tuple(p for p in check_composition(lam) if p)
-    mu = tuple(p for p in check_composition(mu) if p)
-    check_weights(lam, mu)
+    lam, mu = _bitrace_indices(lam, mu)
     n = weight(lam)
-    if n < 1:
-        raise ValueError("bitrace requires weight at least 1")
     if method == "matrices":
         total = gram_pairing(lam, mu)
         return total.divexact(_qm1_pow(len(lam) + len(mu)))
@@ -147,9 +157,7 @@ def bitrace(lam, mu, method="matrices"):
 def bitrace_via_gram(lam, mu):
     """Normalization consistency route: q^(2n) (q-1)^(-r-s) times the
     gram pairing with the variable inverted."""
-    lam = tuple(p for p in check_composition(lam) if p)
-    mu = tuple(p for p in check_composition(mu) if p)
-    check_weights(lam, mu)
+    lam, mu = _bitrace_indices(lam, mu)
     n = weight(lam)
     h = gram_pairing(lam, mu).invert_variable().shift(2 * n)
     return h.divexact(_qm1_pow(len(lam) + len(mu)))

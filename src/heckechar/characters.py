@@ -120,33 +120,6 @@ def two_row_weights(mu):
     return _v_product([ONE] + [ONE_MINUS_TINV] * (m - 1) + [ONE] for m in mu)
 
 
-def hook_character(k, mu):
-    """Character at a hook with arm k: the signed tail sum of the hook
-    weights evaluated at the character variable."""
-    mu = sort_to_partition(check_composition(mu))
-    n = weight(mu)
-    if type(k) is not int or not 1 <= k <= n:
-        raise ValueError(f"hook arm {k!r} is not an int in 1..{n}")
-    a = hook_weights(mu)
-    total = ZERO
-    for i in range(k, n + 1):
-        total = total + a[i].shift(i)
-    if (n - k + len(mu)) % 2:
-        total = -total
-    return total
-
-
-def two_row_character(k, mu):
-    """Character at the two-row shape (k, n-k)."""
-    mu = sort_to_partition(check_composition(mu))
-    n = weight(mu)
-    if type(k) is not int or not n - k <= k <= n:
-        raise ValueError(f"two-row arm {k!r} is not an int in range for n={n}")
-    b = two_row_weights(mu)
-    diff = b[k] - (b[k + 1] if k + 1 <= n else ZERO)
-    return (diff.shift(n - len(mu)))
-
-
 def two_row_cumulative(mu):
     """Closed form of the sum of all two-row characters at mu:
     q^(n - len(mu)) times the middle two-row weight."""
@@ -207,9 +180,10 @@ def _mn_cached(lam, mu):
 
 
 def _mn_value(lam, mu):
-    """The packed value read back, or, when its bound is too wide for a
-    64-bit digit, the strip sum of its sub-values in polynomial
-    arithmetic."""
+    """Character by removing a broken border strip for each part of mu,
+    largest part first: the packed value read back, or, when its bound
+    is too wide for a 64-bit digit, the strip sum of its sub-values in
+    polynomial arithmetic."""
     try:
         return unpack(*_mn_cached(lam, mu))
     except OverflowError:
@@ -224,13 +198,6 @@ def _mn_wide(lam, mu):
     return acc
 
 
-def mn_character(lam, mu):
-    """Character by removing a broken border strip for each part of mu,
-    largest part first."""
-    lam, mu = check_indices(lam, mu)
-    return _mn_value(lam, mu)
-
-
 # -- general reduction formulas -----------------------------------------
 
 def _first_row_terms(lam, mu):
@@ -243,7 +210,7 @@ def _first_row_terms(lam, mu):
                    _omtinv_pow(nonzero_length(tau)))
 
 
-def character_via_sn(lam, mu):
+def _via_sn(lam, mu):
     """Reduce to classical characters of lower-degree symmetric groups.
 
     Each term's denominator z * z_rho divides (n - lam_1)!: the block
@@ -252,9 +219,6 @@ def character_via_sn(lam, mu):
     the n_j! divides (n - lam_1)!.  So integer numerators are summed
     over that one denominator and a single exact division ends the sum.
     """
-    lam, mu = check_indices(lam, mu)
-    if not lam:
-        return ONE
     la1 = lam[0]
     tail = lam[1:]
     fact = factorial(weight(mu) - la1)
@@ -286,7 +250,10 @@ def _newton_scaled(top):
 
 @cached
 def _via_newton_cached(lam, mu):
-    """Every newton_coeffs(m) used here has m <= top = n - lam_1, so its
+    """Reduce to Hecke characters of lower degree through the Newton
+    transition coefficients; bottoms out at the empty partition.
+
+    Every newton_coeffs(m) used here has m <= top = n - lam_1, so its
     denominators divide P = prod_{k <= top} (t^k - 1).  The sum runs over
     the coefficients times P, all at 1/t, grouped by tau, and one exact
     division by P(1/t) * (t-1)^len(mu) ends it."""
@@ -306,13 +273,6 @@ def _via_newton_cached(lam, mu):
     return acc.shift(la1).divexact(den * _qm1_pow(len(mu)))
 
 
-def character_via_newton(lam, mu):
-    """Reduce to Hecke characters of lower degree through the Newton
-    transition coefficients; bottoms out at the empty partition."""
-    lam, mu = check_indices(lam, mu)
-    return _via_newton_cached(lam, mu)
-
-
 # -- dispatch ------------------------------------------------------------
 
 def _one_row(lam, mu):
@@ -328,16 +288,27 @@ def _one_column(lam, mu):
     return LaurentPoly.const(-1 if s % 2 else 1)
 
 
-def _hook_alg(lam, mu):
-    if not lam or any(p != 1 for p in lam[1:]):
+def _hook(lam, mu):
+    """Hook with arm lam_1: the signed tail sum of the hook weights
+    evaluated at the character variable."""
+    if any(p != 1 for p in lam[1:]):
         raise ValueError(f"{lam} is not a hook")
-    return hook_character(lam[0], mu)
+    n, k = weight(mu), lam[0]
+    a = hook_weights(mu)
+    total = ZERO
+    for i in range(k, n + 1):
+        total = total + a[i].shift(i)
+    return -total if (n - k + len(mu)) % 2 else total
 
 
-def _two_row_alg(lam, mu):
-    if not lam or len(lam) > 2:
+def _two_row(lam, mu):
+    """Two-row shape (k, n-k), k = lam_1."""
+    if len(lam) > 2:
         raise ValueError(f"{lam} is not a two-row shape")
-    return two_row_character(lam[0], mu)
+    n, k = weight(mu), lam[0]
+    b = two_row_weights(mu)
+    diff = b[k] - (b[k + 1] if k < n else ZERO)
+    return diff.shift(n - len(mu))
 
 
 def _via_peel(strategy):
@@ -347,20 +318,22 @@ def _via_peel(strategy):
     return run
 
 
-# Routes get valid indices (character() checks them, char_table builds
-# them), so mn and gen_newton map to their cores, not the checking
-# public functions.
+# Routes get valid indices and a nonempty lam (character() checks them,
+# char_table builds them, _run answers the empty pair), so each maps to
+# an unchecked core.  The peel routes still call pairing_polynomial,
+# which checks again: the benchmark tracer reads its schur.pairing.*
+# spans from that call.
 ALGORITHMS = {
     "one_row": _one_row,
     "one_column": _one_column,
-    "hook": _hook_alg,
-    "two_row": _two_row_alg,
+    "hook": _hook,
+    "two_row": _two_row,
     "mn": _mn_value,
     "iterative": _via_peel("iterative"),
     "det": _via_peel("det"),
     "strips": _via_peel("strips"),
     "oracle": _via_peel("oracle"),
-    "gen_sn": character_via_sn,
+    "gen_sn": _via_sn,
     "gen_newton": _via_newton_cached,
 }
 

@@ -100,8 +100,13 @@ def _cmd_char(args):
 
 
 def _cmd_table(args):
-    table = char_table(args.n, algorithm=args.algorithm)
     cache_path = args.cache or os.environ.get(CACHE_ENV)
+    # checked before the fill, which can take long
+    if cache_path and (os.path.isdir(cache_path) or not os.path.isdir(
+            os.path.dirname(os.path.abspath(cache_path)))):
+        raise ValueError(f"cache path {cache_path!r} is a directory or lies "
+                         "in a directory that does not exist")
+    table = char_table(args.n, algorithm=args.algorithm)
     if cache_path:
         save_table(table, cache_path)
         print(f"wrote {len(table.entries)} entries to {cache_path}",

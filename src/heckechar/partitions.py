@@ -22,9 +22,6 @@ import itertools
 from dataclasses import dataclass
 from functools import lru_cache
 
-Partition = tuple
-Composition = tuple
-
 MEMOS = {}
 
 

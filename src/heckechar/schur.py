@@ -27,9 +27,8 @@ from math import factorial, prod
 
 from .laurent import ZERO, ONE, T, RationalFn, monomial
 from .partitions import (
-    MEMOS, SkewShape, cached, check_indices, compositions_of,
-    partition_tuples, sort_to_partition, strip_removals,
-    subpartitions_of_weight, weight,
+    MEMOS, cached, check_indices, compositions_of, partition_tuples,
+    sort_to_partition, strip_removals, subpartitions_of_weight, weight,
 )
 
 ONE_MINUS_T = ONE - T
@@ -174,20 +173,6 @@ def _scaled_det(lam, mu):
     return _bareiss_det(_strip_matrix(lam, mu_padded))
 
 
-def det_matrix(lam, mu):
-    """The peel matrix itself, with entries 0, 1 or 1/(1-t)."""
-    SkewShape(lam, mu)  # ValueError unless mu lies inside lam
-    mu_padded = mu + (0,) * (len(lam) - len(mu))
-    return [[RationalFn(e, ONE_MINUS_T) for e in row]
-            for row in _strip_matrix(lam, mu_padded)]
-
-
-def det_value(lam, mu):
-    """Determinant of the peel matrix, computed fraction-free."""
-    SkewShape(lam, mu)  # ValueError unless mu lies inside lam
-    return RationalFn(_scaled_det(lam, mu), _omt_pow(len(lam)))
-
-
 def _det_terms(lam, k):
     for mu in subpartitions_of_weight(lam, weight(lam) - k):
         d = _scaled_det(lam, mu)
@@ -239,8 +224,10 @@ def pairing_polynomial(lam, mu, strategy="strips"):
     """Pairing of the deformed one-row product against a Schur function.
 
     Peels the parts of ``mu`` (largest first) off the unit vector at
-    ``lam`` and reads the coefficient of the empty partition.  The result
-    is always a polynomial in t with integer coefficients.
+    ``lam`` with the ``iterative``, ``det`` or ``strips`` expansion and
+    reads the coefficient of the empty partition; ``oracle`` takes the
+    power-sum route instead.  The result is always a polynomial in t
+    with integer coefficients.
     """
     lam, mu = check_indices(lam, mu)
     if strategy == "oracle":
@@ -261,12 +248,6 @@ def centralizer_poly_factors(lam):
     """Product of (1 - t^part) over the parts; the polynomial part of the
     reciprocal deformed centralizer order."""
     return prod((ONE - monomial(1, p) for p in lam), start=ONE)
-
-
-@cached
-def deformed_centralizer(lam):
-    """The deformed centralizer order as a rational function of t."""
-    return RationalFn(centralizer_order(lam), centralizer_poly_factors(lam))
 
 
 @cached
@@ -301,7 +282,8 @@ def _power_sum_terms(nu):
                prod(map(centralizer_order, tup)))
 
 
-def pairing_oracle(lam, mu):
+@cached
+def _oracle_cached(lam, mu):
     """Independent route to the pairing polynomial.
 
     Expands each one-row factor into the power-sum basis (one partition
@@ -311,11 +293,6 @@ def pairing_oracle(lam, mu):
     one exact division.  Shares nothing with the peeling code beyond the
     partition enumerators.
     """
-    return _oracle_cached(*check_indices(lam, mu))
-
-
-@cached
-def _oracle_cached(lam, mu):
     # z_{rho_j} divides mu_j!, because mu_j! / z_{rho_j} is the size of
     # the conjugacy class of S_{mu_j} of cycle type rho_j; so every term
     # is integral over D = prod_j mu_j!

@@ -18,8 +18,8 @@ from .schur import (
     centralizer_order, classical_character, pairing_polynomial,
 )
 from .characters import (
-    broken_strip_weight, character, hook_weights, hook_character,
-    mn_character, newton_coeffs, two_row_character, two_row_weights,
+    broken_strip_weight, character, hook_weights, newton_coeffs,
+    two_row_weights,
 )
 from .applications import (
     bitrace, bracket_identity_check, supercharacter_hooks,
@@ -122,11 +122,11 @@ def check_closed_forms(n_max=5):
         for mu in partitions_of(n):
             for k in range(1, n + 1):
                 lam = (k,) + (1,) * (n - k)
-                if hook_character(k, mu) != mn_character(lam, mu):
+                if character(lam, mu, "hook") != character(lam, mu, "mn"):
                     _fail(failures, check="hook_vs_mn", k=k, mu=mu)
             for k in range((n + 1) // 2, n + 1):
                 lam = (k, n - k) if n > k else (k,)
-                if two_row_character(k, mu) != mn_character(lam, mu):
+                if character(lam, mu, "two_row") != character(lam, mu, "mn"):
                     _fail(failures, check="two_row_vs_mn", k=k, mu=mu)
     return failures
 

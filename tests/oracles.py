@@ -5,9 +5,19 @@ standard fillings are enumerated forwards, symmetric-group characters
 come from alternant coefficient extraction in explicit variables,
 straightening is done by literal adjacent exchanges, and the table
 document is built as plain dicts for ``json.dumps`` to lay out.
+``deformed_centralizer`` is no oracle, only the library's centralizer
+order and factors assembled into one rational function.
 """
 
 import itertools
+
+from heckechar.laurent import RationalFn
+from heckechar.schur import centralizer_order, centralizer_poly_factors
+
+
+def deformed_centralizer(lam):
+    """The deformed centralizer order as a rational function of t."""
+    return RationalFn(centralizer_order(lam), centralizer_poly_factors(lam))
 
 
 def brute_standard_count(shape):

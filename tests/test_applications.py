@@ -6,16 +6,15 @@ from heckechar.laurent import ONE, T, ZERO, LaurentPoly, RationalFn, monomial
 from heckechar.partitions import (
     partition_tuples, partitions_of, standard_tableaux_count,
 )
-from heckechar.schur import centralizer_order, deformed_centralizer
-from heckechar.characters import (
-    hook_character, two_row_character, two_row_cumulative,
-)
+from heckechar.schur import centralizer_order
+from heckechar.characters import character, two_row_cumulative
 from heckechar.applications import (
     bitrace, bitrace_via_gram, bracket_identity_check, entry_weight,
     gram_pairing, neg_q_bracket, supercharacter_hooks,
     supercharacter_hooks_explicit, supercharacter_two_rows,
     supercharacter_two_rows_explicit,
 )
+from oracles import deformed_centralizer
 
 
 def test_entry_weight_conventions():
@@ -173,6 +172,8 @@ def test_bitrace_errors():
     with pytest.raises(ValueError):
         bitrace((), ())
     with pytest.raises(ValueError):
+        bitrace_via_gram((), ())
+    with pytest.raises(ValueError):
         bitrace((2,), (2,), "bogus")
 
 
@@ -193,8 +194,8 @@ def test_bitrace_rejects_malformed_compositions(lam, mu):
 
 
 @pytest.mark.parametrize("route", [
-    lambda mu: hook_character(1, mu),
-    lambda mu: two_row_character(1, mu),
+    lambda mu: character((1,), mu, "hook"),
+    lambda mu: character((1,), mu, "two_row"),
     two_row_cumulative,
     supercharacter_hooks, supercharacter_hooks_explicit,
     supercharacter_two_rows, supercharacter_two_rows_explicit,
@@ -203,3 +204,13 @@ def test_bitrace_rejects_malformed_compositions(lam, mu):
 def test_lone_mu_rejects_malformed_compositions(route, mu):
     with pytest.raises(ValueError):
         route(mu)
+
+
+@pytest.mark.parametrize("route", [
+    supercharacter_hooks, supercharacter_hooks_explicit,
+    supercharacter_two_rows, supercharacter_two_rows_explicit,
+])
+def test_supercharacters_reject_empty_mu(route):
+    # all four are defined for nonempty mu only, and say so alike
+    with pytest.raises(ValueError, match="nonempty"):
+        route(())

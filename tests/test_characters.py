@@ -17,10 +17,8 @@ from heckechar.partitions import (
 from heckechar.schur import classical_character, pairing_polynomial
 from heckechar.characters import (
     ALGORITHMS, ALGORITHM_NAMES, CharTable, char_table, character,
-    character_via_newton, character_via_sn, document_to_table, dumps_table,
-    entry_document, hook_character, hook_weights, loads_table, mn_character,
-    normalize_g_to_chi, resolve_algorithm, two_row_character,
-    _v_product, two_row_cumulative, two_row_weights, broken_strip_weight,
+    document_to_table, dumps_table, entry_document, hook_weights,
+    loads_table, normalize_g_to_chi, resolve_algorithm, _v_product, two_row_cumulative, two_row_weights, broken_strip_weight,
     _mn_cached, _mn_strips, clear_caches,
 )
 
@@ -136,36 +134,40 @@ def test_paper_symmetry_without_correction_fails():
 
 
 def test_hook_character():
-    assert hook_character(6, (2, 2, 2, 2)) == LaurentPoly({2: 6, 3: -12, 4: 3})
+    assert character((6, 1, 1), (2, 2, 2, 2), "hook") == \
+        LaurentPoly({2: 6, 3: -12, 4: 3})
     for n in range(1, 8):
         for mu in partitions_of(n):
-            assert hook_character(n, mu) == monomial(1, n - len(mu))
+            assert character((n,), mu, "hook") == monomial(1, n - len(mu))
             for k in range(1, n + 1):
                 lam = (k,) + (1,) * (n - k)
-                assert hook_character(k, mu) == mn_character(lam, mu), (k, mu)
+                assert character(lam, mu, "hook") == \
+                    character(lam, mu, "mn"), (k, mu)
+    # the route takes hooks of the weight of mu only, and int parts
     with pytest.raises(ValueError):
-        hook_character(0, (2, 1))
+        character((2, 2), (2, 1, 1), "hook")
     with pytest.raises(ValueError):
-        hook_character(4, (2, 1))
-    # the arm is an int: True == 1, but only its type gives it away
+        character((4,), (2, 1), "hook")
     for arm in (True, 1.0):
         with pytest.raises(ValueError):
-            hook_character(arm, (1,))
+            character((arm,), (1,), "hook")
 
 
 def test_two_row_character():
-    assert two_row_character(4, (3, 2, 1)) == LaurentPoly({1: 1, 2: -3, 3: 2})
+    assert character((4, 2), (3, 2, 1), "two_row") == \
+        LaurentPoly({1: 1, 2: -3, 3: 2})
     for n in range(1, 9):
         for mu in partitions_of(n):
-            assert two_row_character(n, mu) == monomial(1, n - len(mu))
+            assert character((n,), mu, "two_row") == monomial(1, n - len(mu))
             for k in range((n + 1) // 2, n + 1):
                 lam = (k, n - k) if n - k else (k,)
-                assert two_row_character(k, mu) == mn_character(lam, mu)
+                assert character(lam, mu, "two_row") == \
+                    character(lam, mu, "mn")
     with pytest.raises(ValueError):
-        two_row_character(1, (3,))
+        character((1, 1, 1), (3,), "two_row")
     for arm in (True, 1.0):
         with pytest.raises(ValueError):
-            two_row_character(arm, (1,))
+            character((arm,), (1,), "two_row")
 
 
 def test_two_row_cumulative():
@@ -182,26 +184,28 @@ def test_mn_specializes_to_classical():
     for n in range(1, 8):
         for lam in partitions_of(n):
             for mu in partitions_of(n):
-                assert mn_character(lam, mu).evaluate_at_one() == \
+                assert character(lam, mu, "mn").evaluate_at_one() == \
                     classical_character(lam, mu)
 
 
 def test_reduction_to_symmetric_group():
-    assert character_via_sn((2, 1), (1, 1, 1)) == LaurentPoly.const(2)
+    assert character((2, 1), (1, 1, 1), "gen_sn") == LaurentPoly.const(2)
     for n in range(1, 6):
         for mu in partitions_of(n):
-            assert character_via_sn((n,), mu) == monomial(1, n - len(mu))
+            assert character((n,), mu, "gen_sn") == monomial(1, n - len(mu))
             for lam in partitions_of(n):
-                assert character_via_sn(lam, mu) == mn_character(lam, mu)
+                assert character(lam, mu, "gen_sn") == \
+                    character(lam, mu, "mn")
 
 
 def test_reduction_via_newton():
-    assert character_via_newton((1,), (1,)) == ONE
-    assert character_via_newton((2, 1), (3,)) == monomial(-1, 1)
+    assert character((1,), (1,), "gen_newton") == ONE
+    assert character((2, 1), (3,), "gen_newton") == monomial(-1, 1)
     for n in range(1, 6):
         for lam in partitions_of(n):
             for mu in partitions_of(n):
-                assert character_via_newton(lam, mu) == mn_character(lam, mu)
+                assert character(lam, mu, "gen_newton") == \
+                    character(lam, mu, "mn")
 
 
 def test_all_algorithms_coincide():
@@ -209,7 +213,7 @@ def test_all_algorithms_coincide():
     for n in range(1, 6):
         for lam in partitions_of(n):
             for mu in partitions_of(n):
-                ref = mn_character(lam, mu)
+                ref = character(lam, mu, "mn")
                 for alg in algs:
                     if alg == "one_row" and len(lam) > 1:
                         continue
@@ -709,4 +713,4 @@ def test_pairing_normalization_consistency():
             for mu in partitions_of(n):
                 g = pairing_polynomial(lam, mu, "strips")
                 assert normalize_g_to_chi(g, n, len(mu)) == \
-                    mn_character(lam, mu)
+                    character(lam, mu, "mn")

@@ -115,6 +115,22 @@ def test_table_cache_env(tmp_path, capsys, monkeypatch):
     assert flag_path.read_text() == env_path.read_text()
 
 
+@pytest.mark.parametrize("where", ["missing/t.json", "."],
+                         ids=["missing-directory", "a-directory"])
+def test_table_cache_path_checked_before_fill(tmp_path, capsys, monkeypatch,
+                                              where):
+    # a cache path that cannot be written is a usage error, caught before
+    # the table is filled
+    filled = []
+    monkeypatch.setattr("heckechar.cli.char_table",
+                        lambda *args, **kwargs: filled.append(args))
+    with pytest.raises(SystemExit) as exc:
+        main(["table", "--n", "14", "--cache", str(tmp_path / where)])
+    assert exc.value.code == 2
+    assert filled == []
+    assert "cache path" in capsys.readouterr().err
+
+
 def test_bitrace_command(capsys):
     code, out, _ = run(capsys, "bitrace", "--lambda", "2", "--mu", "1,1")
     assert code == 0

@@ -9,12 +9,13 @@ from heckechar.partitions import (
     standard_tableaux_count, subpartitions_of_weight,
 )
 from heckechar.schur import (
-    _oracle_cached, centralizer_order, classical_character,
-    deformed_centralizer, det_matrix, det_value, newton_coeffs,
-    pairing_oracle, pairing_polynomial, peel_det, peel_iterative,
-    peel_strips, straighten,
+    _oracle_cached, _scaled_det, _strip_matrix, centralizer_order,
+    classical_character, newton_coeffs, pairing_polynomial, peel_det,
+    peel_iterative, peel_strips, straighten,
 )
-from oracles import exchange_straighten, frobenius_character
+from oracles import (
+    deformed_centralizer, exchange_straighten, frobenius_character,
+)
 
 OMT = ONE - T
 
@@ -114,50 +115,43 @@ def test_iterated_single_boxes_count_tableaux():
 
 
 def test_det_matrix_shapes():
-    # equal shapes: upper triangular with 1/(1-t) on the diagonal
+    # equal shapes: upper triangular with ONE on the diagonal (the entries
+    # are scaled by 1 - t), so the scaled determinant is 1
     lam = (3, 2, 1)
-    rows = det_matrix(lam, lam)
-    inv = RationalFn(ONE, OMT)
+    rows = _strip_matrix(lam, lam)
     for i in range(3):
-        assert rows[i][i] == inv
+        assert rows[i][i] == ONE
         for j in range(i):
             assert rows[i][j].is_zero()
-    assert det_value(lam, lam) == RationalFn(ONE, OMT ** 3)
-
-    with pytest.raises(ValueError):
-        det_matrix((2, 1), (3,))
+    assert _scaled_det(lam, lam) == ONE
 
 
 def test_det_value_on_single_strips():
-    # a connected border strip contributes
-    # (1-t)^(1-l) * (-t/(1-t))^(rows-1), i.e. the general component form;
-    # when the strip reaches the bottom row this is the start-row form
+    # a broken border strip with m components scales to
+    # (-t)^rsum * (1-t)^m, rsum the sum of rows - 1 over the components
     from heckechar.partitions import strip_removals
     for n in range(1, 8):
         for lam in partitions_of(n):
-            l = len(lam)
             for k in range(1, n + 1):
                 for mu, comps in strip_removals(lam, k):
                     m = len(comps)
                     rsum = sum(c.rows - 1 for c in comps)
-                    expected = RationalFn(
-                        monomial(-1 if rsum % 2 else 1, rsum) * OMT ** m,
-                        OMT ** l)
-                    assert det_value(lam, mu) == expected, (lam, mu)
+                    expected = monomial(-1 if rsum % 2 else 1, rsum) * OMT ** m
+                    assert _scaled_det(lam, mu) == expected, (lam, mu)
 
 
 def test_det_vanishes_on_blocks():
     from heckechar.partitions import strip_removals
     # containing a 2x2 block kills the determinant
-    assert det_value((2, 2), ()).is_zero()
-    assert det_value((3, 3, 1), (1,)).is_zero()
+    assert _scaled_det((2, 2), ()).is_zero()
+    assert _scaled_det((3, 3, 1), (1,)).is_zero()
     for n in range(2, 8):
         for lam in partitions_of(n):
             for k in range(1, n + 1):
                 strips = {mu for mu, _ in strip_removals(lam, k)}
                 for mu in subpartitions_of_weight(lam, n - k):
                     if mu not in strips:
-                        assert det_value(lam, mu).is_zero(), (lam, mu)
+                        assert _scaled_det(lam, mu).is_zero(), (lam, mu)
 
 
 def test_pairing_worked_example():
@@ -191,7 +185,7 @@ def test_pairing_errors():
     with pytest.raises(ValueError):
         pairing_polynomial((1,), (1,), ["x"])
     with pytest.raises(ValueError):
-        pairing_oracle(None, (1,))
+        pairing_polynomial(None, (1,), "oracle")
     with pytest.raises(ValueError):
         classical_character(7, (1,))
 
@@ -236,7 +230,7 @@ def test_oracle_exactness_is_enforced(monkeypatch):
     # the oracle sums over one denominator and ends in one exact division
     for lam in partitions_of(6):
         for mu in partitions_of(6):
-            pairing_oracle(lam, mu)
+            pairing_polynomial(lam, mu, "oracle")
     # negative control: one wrong classical value leaves a remainder, and
     # the division raises instead of returning a value
     clear_caches()
@@ -245,15 +239,15 @@ def test_oracle_exactness_is_enforced(monkeypatch):
         m.setattr(schur, "_classical_mn",
                   lambda lam, rho: right(lam, rho) + (rho == (1, 1, 1)))
         with pytest.raises(ExactnessError):
-            pairing_oracle((2, 1), (3,))
+            pairing_polynomial((2, 1), (3,), "oracle")
     clear_caches()
     # indices are validated before the memo: a list is accepted, and two
     # orders of one composition share a single memo entry
-    assert pairing_oracle((2, 1), [1, 1, 1]) == \
+    assert pairing_polynomial((2, 1), [1, 1, 1], "oracle") == \
         pairing_polynomial((2, 1), (1, 1, 1))
-    pairing_oracle((2, 1), (1, 2))
+    pairing_polynomial((2, 1), (1, 2), "oracle")
     entries = _oracle_cached.cache_info().currsize
-    pairing_oracle((2, 1), (2, 1))
+    pairing_polynomial((2, 1), (2, 1), "oracle")
     assert _oracle_cached.cache_info().currsize == entries
 
 
