@@ -17,10 +17,15 @@ Public entry point is :func:`character`, which runs one of:
 * the power-sum pairing oracle;
 * two general reduction formulas ("gen_sn" reduces to symmetric-group
   characters of lower degree, "gen_newton" to Hecke characters of lower
-  degree via the Newton transition coefficients).
+  degree via the Newton transition coefficients); each sums its terms
+  packed at q = 2^64 in the same way, reads the sum back once and ends
+  in one exact division, and sums in polynomial arithmetic instead when
+  the bound reaches 2^63.
 
 All routes return the identical polynomial; the value depends only on
 the multiset of parts of the lower index, which is sorted on entry.
+The peel routes and the oracle keep polynomial (dict) arithmetic
+throughout, so they check the three packed routes independently.
 
 Note on the weight-sequence symmetry: the hook weights satisfy
 a_j(mu;t) = (-1)^len(mu) * t^(-len(mu)) * a_{n-j}(mu;1/t); the version
@@ -33,6 +38,7 @@ from __future__ import annotations
 import json
 import os
 import tempfile
+from collections import Counter
 from dataclasses import dataclass, field
 from itertools import chain
 from math import factorial, prod
@@ -99,24 +105,34 @@ def _v_product(factors):
     return tuple(out)
 
 
-@cached
 def hook_weights(mu):
     """Coefficient sequence of (1 - v/t)^len(mu) * prod [mu_i]_v in v.
 
     Drives the hook closed form; entry 0 is 1 and the top entry, at
-    v^|mu|, is (-1/t)^len(mu).
+    v^|mu|, is (-1/t)^len(mu).  ``mu`` is a composition in any order;
+    ValueError for anything else.
     """
+    return _hook_weights(sort_to_partition(check_composition(mu)))
+
+
+@cached
+def _hook_weights(mu):
     return _v_product([[ONE, -monomial(1, -1)] for _ in mu] +
                       [[ONE] * m for m in mu])
 
 
-@cached
 def two_row_weights(mu):
     """Coefficient sequence of prod (1/t + v^mu_i + (1-1/t)[mu_i]_v) in v.
 
     Palindromic, from 1 at v^0 to 1 at v^|mu|; drives the two-row closed
-    form.
+    form.  ``mu`` is a composition in any order; ValueError for anything
+    else.
     """
+    return _two_row_weights(sort_to_partition(check_composition(mu)))
+
+
+@cached
+def _two_row_weights(mu):
     return _v_product([ONE] + [ONE_MINUS_TINV] * (m - 1) + [ONE] for m in mu)
 
 
@@ -125,7 +141,7 @@ def two_row_cumulative(mu):
     q^(n - len(mu)) times the middle two-row weight."""
     mu = sort_to_partition(check_composition(mu))
     n = weight(mu)
-    b = two_row_weights(mu)
+    b = _two_row_weights(mu)
     return b[n // 2].shift(n - len(mu))
 
 
@@ -199,15 +215,81 @@ def _mn_wide(lam, mu):
 
 
 # -- general reduction formulas -----------------------------------------
+#
+# Both reductions sum their terms as ints, the polynomials evaluated at
+# q = 2^64 (each shifted to non-negative exponents) with a bound on the
+# L1 norm beside them, read the sum back once and end in one exact
+# division.  A sum whose bound is too wide for a 64-bit digit is formed
+# again in LaurentPoly arithmetic (the _wide functions), as _mn_value
+# does.
+
+def _l1(poly):
+    return sum(map(abs, poly.terms.values()))
+
+
+@cached
+def _first_row_level(mu, i):
+    """The tau in sub_compositions(mu, i), grouped: (rem, j, count) for
+    each (mu - tau sorted to a partition, nz(tau)) met count times."""
+    groups = Counter(
+        (sort_to_partition([m - x for m, x in zip(mu, tau)]),
+         nonzero_length(tau)) for tau in sub_compositions(mu, i))
+    return tuple((rem, j, count) for (rem, j), count in groups.items())
+
 
 def _first_row_terms(lam, mu):
     """The terms of the first row's vertex operator: for lam_1 <= i <= n
-    and each tau in sub_compositions(mu, i), the triple
-    (i, mu - tau, (1 - 1/t)^nz(tau))."""
+    and each tau in sub_compositions(mu, i), a term of weight
+    (1 - 1/t)^nz(tau); the terms that agree in mu - tau up to order and
+    in nz(tau) come as one quadruple (i, rem, j, count)."""
     for i in range(lam[0], weight(mu) + 1):
-        for tau in sub_compositions(mu, i):
-            yield (i, tuple(m - x for m, x in zip(mu, tau)),
-                   _omtinv_pow(nonzero_length(tau)))
+        for rem, j, count in _first_row_level(mu, i):
+            yield i, rem, j, count
+
+
+def _sn_numerator(tail, nu, z, fact):
+    """Integer numerator over fact = |tail|! of the power-sum term
+    p_nu / z paired with the classical characters of tail."""
+    numer = 0
+    for rho in partitions_of(weight(tail) - weight(nu)):
+        # valid indices by construction: nu and rho make a partition of
+        # |tail|
+        chi = _classical_mn(tail, sort_to_partition(nu + rho))
+        if (len(nu) + len(rho)) % 2:
+            chi = -chi
+        numer += chi * (fact // (z * centralizer_order(rho)))
+    return numer
+
+
+@cached
+def _packed_base(i, j):
+    # (1 - 1/t)^j * t^i at 2^64: j = nz(tau) <= |tau| = i, so no exponent
+    # is negative; its L1 norm is 2^j
+    return pack(_omtinv_pow(j).shift(i))
+
+
+@cached
+def _packed_cpf(nu):
+    c = centralizer_poly_factors(nu)
+    return pack(c), _l1(c)
+
+
+@cached
+def _sn_inner(tail, rem):
+    """The sum over the power-sum terms of prod_j h_rem_j of
+    centralizer_poly_factors(nu) * numerator, packed, and its bound.
+    (tail, rem) fixes everything the sum reads: rho runs over the
+    partitions of |tail| - |rem|, the denominator is |tail|!, and the
+    product of h's does not depend on the order of rem's parts."""
+    fact = factorial(weight(tail))
+    v = norm = 0
+    for nu, z in _power_sum_terms(rem):
+        numer = _sn_numerator(tail, nu, z, fact)
+        if numer:
+            c, c_norm = _packed_cpf(nu)
+            v += c * numer
+            norm += c_norm * abs(numer)
+    return v, norm
 
 
 def _via_sn(lam, mu):
@@ -219,58 +301,126 @@ def _via_sn(lam, mu):
     the n_j! divides (n - lam_1)!.  So integer numerators are summed
     over that one denominator and a single exact division ends the sum.
     """
-    la1 = lam[0]
     tail = lam[1:]
-    fact = factorial(weight(mu) - la1)
+    v = norm = 0
+    for i, rem, j, count in _first_row_terms(lam, mu):
+        inner, inner_norm = _sn_inner(tail, rem)
+        if inner_norm:
+            v += _packed_base(i, j) * inner * count
+            norm += (inner_norm << j) * count
+    try:
+        acc = unpack(v, norm)
+    except OverflowError:
+        acc = _sn_wide(lam, mu)
+    return acc.divexact(_qm1_pow(len(mu)) * factorial(weight(tail)))
+
+
+def _sn_wide(lam, mu):
+    # the sum _via_sn packs, in polynomial arithmetic
+    tail = lam[1:]
+    fact = factorial(weight(tail))
     acc = ZERO
-    for i, rem, w in _first_row_terms(lam, mu):
-        base = w.shift(i)
+    for i, rem, j, count in _first_row_terms(lam, mu):
+        base = _omtinv_pow(j).shift(i)
         for nu, z in _power_sum_terms(rem):
-            numer = 0
-            for rho in partitions_of(i - la1):
-                # valid indices by construction: nu and rho make a
-                # partition of n - lam_1 = |tail|
-                chi = _classical_mn(tail, sort_to_partition(nu + rho))
-                if (len(nu) + len(rho)) % 2:
-                    chi = -chi
-                numer += chi * (fact // (z * centralizer_order(rho)))
+            numer = _sn_numerator(tail, nu, z, fact)
             if numer:
-                acc = acc + base * centralizer_poly_factors(nu) * numer
-    return acc.divexact(_qm1_pow(len(mu)) * fact)
+                acc = acc + base * centralizer_poly_factors(nu) * (
+                    numer * count)
+    return acc
 
 
 @cached
 def _newton_scaled(top):
-    # P(1/t), and newton_coeffs(m) * P at 1/t * (t-1)^len(rho), m <= top
+    """P(1/t), deg P and, for each m <= top, the coefficients
+    C = newton_coeffs(m) * P at 1/t * (t-1)^len(rho), as triples
+    (rho, C, pack(C * t^deg P), ||C||_1), where
+    P = prod_{k <= top} (t^k - 1): C's exponents are at least -deg P."""
     p = prod((monomial(1, k) - ONE for k in range(1, top + 1)), start=ONE)
-    return p.invert_variable(), [
-        {rho: (c * p).to_laurent().invert_variable() * _qm1_pow(len(rho))
-         for rho, c in newton_coeffs(m).items()} for m in range(top + 1)]
+    deg = top * (top + 1) // 2
+
+    def term(rho, c):
+        c = (c.num * p).divexact(c.den).invert_variable() * \
+            _qm1_pow(len(rho))
+        return rho, c, pack(c.shift(deg)), _l1(c)
+
+    return p.invert_variable(), deg, [
+        tuple(term(rho, c) for rho, c in newton_coeffs(m).items())
+        for m in range(top + 1)]
 
 
 @cached
-def _via_newton_cached(lam, mu):
-    """Reduce to Hecke characters of lower degree through the Newton
-    transition coefficients; bottoms out at the empty partition.
+def _packed_newton_weight(j, r, l):
+    # (1 - 1/t)^j * (t-1)^r * t^l at 2^64 and its L1 norm; j = nz(tau)
+    # <= l = len(mu), so no exponent is negative
+    w = _omtinv_pow(j) * _qm1_pow(r)
+    return pack(w.shift(l)), _l1(w)
+
+
+@cached
+def _newton_inner(tail, rem):
+    """The sum over rho of C_rho * chi^tail_(rem + rho), packed, and its
+    bound, with the C of _newton_scaled(|tail|): (tail, rem) fixes rho's
+    degree |tail| - |rem| and the offset deg P of the packed C."""
+    scaled = _newton_scaled(weight(tail))[2]
+    v = norm = 0
+    for rho, _, c, c_norm in scaled[weight(tail) - weight(rem)]:
+        _, sub, sub_norm = _newton_cached(tail, sort_to_partition(rem + rho))
+        v += c * sub
+        norm += c_norm * sub_norm
+    return v, norm
+
+
+@cached
+def _newton_cached(lam, mu):
+    """(chi, chi(2^64), ||chi||_1) by reduction to Hecke characters of
+    lower degree through the Newton transition coefficients; bottoms
+    out at the empty partition.
 
     Every newton_coeffs(m) used here has m <= top = n - lam_1, so its
     denominators divide P = prod_{k <= top} (t^k - 1).  The sum runs over
-    the coefficients times P, all at 1/t, grouped by tau, and one exact
-    division by P(1/t) * (t-1)^len(mu) ends it."""
+    the coefficients times P, all at 1/t, grouped by mu - tau, and one
+    exact division by P(1/t) * (t-1)^len(mu) ends it.  The norm is
+    exact, since chi is known once divided."""
     if not lam:
-        return ONE if not mu else ZERO
+        return (ONE, 1, 1) if not mu else (ZERO, 0, 0)
+    tail = lam[1:]
+    l = len(mu)
+    v = norm = 0
+    for _, rem, j, count in _first_row_terms(lam, mu):
+        inner, inner_norm = _newton_inner(tail, rem)
+        if inner_norm:
+            w, w_norm = _packed_newton_weight(j, len(rem), l)
+            v += w * inner * count
+            norm += w_norm * inner_norm * count
+    den, deg, scaled = _newton_scaled(weight(tail))
+    try:
+        # the packed sum carries t^(deg P + len(mu)) from the offsets
+        acc = unpack(v, norm).shift(lam[0] - deg - l)
+    except OverflowError:
+        acc = _newton_wide(lam, mu, scaled)
+    chi = acc.divexact(den * _qm1_pow(l))
+    return chi, pack(chi), _l1(chi)
+
+
+def _newton_wide(lam, mu, scaled):
+    # the sum _newton_cached packs, in polynomial arithmetic
     la1 = lam[0]
     tail = lam[1:]
-    den, scaled = _newton_scaled(weight(mu) - la1)
     acc = ZERO
-    for i, rem, w in _first_row_terms(lam, mu):
-        rem_star = sort_to_partition(rem)
+    for i, rem, j, count in _first_row_terms(lam, mu):
         inner = ZERO
-        for rho, c in scaled[i - la1].items():
-            sub = _via_newton_cached(tail, sort_to_partition(rem_star + rho))
-            inner = inner + c * sub
-        acc = acc + inner * (w * _qm1_pow(len(rem_star)))
-    return acc.shift(la1).divexact(den * _qm1_pow(len(mu)))
+        for rho, c, _, _ in scaled[i - la1]:
+            inner = inner + c * _newton_cached(
+                tail, sort_to_partition(rem + rho))[0]
+        acc = acc + inner * (_omtinv_pow(j) * _qm1_pow(len(rem)) * count)
+    return acc.shift(la1)
+
+
+def _via_newton(lam, mu):
+    """Reduce to Hecke characters of lower degree through the Newton
+    transition coefficients: the value _newton_cached holds."""
+    return _newton_cached(lam, mu)[0]
 
 
 # -- dispatch ------------------------------------------------------------
@@ -294,7 +444,7 @@ def _hook(lam, mu):
     if any(p != 1 for p in lam[1:]):
         raise ValueError(f"{lam} is not a hook")
     n, k = weight(mu), lam[0]
-    a = hook_weights(mu)
+    a = _hook_weights(mu)
     total = ZERO
     for i in range(k, n + 1):
         total = total + a[i].shift(i)
@@ -306,7 +456,7 @@ def _two_row(lam, mu):
     if len(lam) > 2:
         raise ValueError(f"{lam} is not a two-row shape")
     n, k = weight(mu), lam[0]
-    b = two_row_weights(mu)
+    b = _two_row_weights(mu)
     diff = b[k] - (b[k + 1] if k < n else ZERO)
     return diff.shift(n - len(mu))
 
@@ -334,7 +484,7 @@ ALGORITHMS = {
     "strips": _via_peel("strips"),
     "oracle": _via_peel("oracle"),
     "gen_sn": _via_sn,
-    "gen_newton": _via_newton_cached,
+    "gen_newton": _via_newton,
 }
 
 ALGORITHM_NAMES = ("auto",) + tuple(ALGORITHMS)

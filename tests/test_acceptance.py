@@ -73,7 +73,10 @@ def test_criterion_9_integrity_of_exact_conversions():
     # matrix bitraces convert exactly along the way, and the three
     # power-sum routes (oracle, gen_sn, gen_newton) sum over one
     # denominator fixed in advance and end in a single divexact; they run
-    # under criteria 3 and 7, where any inexact step raises.
+    # under criteria 3 and 7, where any inexact step raises.  gen_sn and
+    # gen_newton form that sum as ints packed at q = 2^64 and read it back
+    # into the same single divexact, so a wrong packed constant raises
+    # there too (test_reduction_packed_constant_off_by_one_is_caught).
     with pytest.raises(ExactnessError):
         RationalFn(ONE, ONE - T).to_laurent()
     with pytest.raises(ExactnessError):

@@ -15,6 +15,7 @@ from heckechar.partitions import (
     format_partition, partitions_of, standard_tableaux_count, strip_removals,
 )
 from heckechar.schur import classical_character, pairing_polynomial
+from heckechar import characters
 from heckechar.characters import (
     ALGORITHMS, ALGORITHM_NAMES, CharTable, char_table, character,
     document_to_table, dumps_table, entry_document, hook_weights,
@@ -125,6 +126,22 @@ def test_weight_sequence_identities():
                     sym = -sym
                 assert a[j] == sym, (mu, j)
                 assert b[j] == b[n - j], (mu, j)
+
+
+@pytest.mark.parametrize("weights", [hook_weights, two_row_weights])
+@pytest.mark.parametrize("mu", [(-1,), (2, -1), (2, True), (1.5,), None, "21"],
+                         ids=repr)
+def test_weight_sequences_reject_malformed_mu(weights, mu):
+    with pytest.raises(ValueError):
+        weights(mu)
+
+
+@pytest.mark.parametrize("weights", [hook_weights, two_row_weights])
+def test_weight_sequences_sort_mu(weights):
+    # zero parts are dropped and the order of the parts does not matter:
+    # every spelling of one multiset reads the same memo entry
+    assert weights((0,)) == weights(()) == (ONE,)
+    assert weights((1, 2)) is weights((2, 1)) is weights((0, 1, 0, 2))
 
 
 def test_paper_symmetry_without_correction_fails():
@@ -468,6 +485,43 @@ def test_wide_bound_falls_back_to_polynomials():
     mixed = (3, 2, 2) + (1,) * 42
     assert _mn_cached(lam, mixed)[1] >= 2 ** 63
     assert character(lam, mixed) == reference(lam, mixed)
+
+
+@pytest.mark.parametrize("algorithm", ["gen_sn", "gen_newton"])
+def test_reduction_wide_path_matches_packed(algorithm, monkeypatch):
+    # with every packed sum refused, both reductions sum in LaurentPoly
+    # arithmetic, as they do past the 2^63 bound; the tables must not move
+    packed = []
+    for n in range(8):
+        clear_caches()
+        packed.append(char_table(n, algorithm).entries)
+    refused = []
+
+    def refuse(v, norm):
+        refused.append(norm)
+        raise OverflowError("forced")
+
+    monkeypatch.setattr(characters, "unpack", refuse)
+    for n in range(8):
+        clear_caches()
+        assert char_table(n, algorithm).entries == packed[n], n
+    assert refused
+    clear_caches()
+
+
+@pytest.mark.parametrize("algorithm, constant", [
+    ("gen_sn", "_packed_cpf"), ("gen_newton", "_packed_newton_weight")])
+def test_reduction_packed_constant_off_by_one_is_caught(
+        algorithm, constant, monkeypatch):
+    # negative control: one packed constant off by one in its lowest digit
+    # reaches the final exact division, which raises
+    right = getattr(characters, constant)
+    monkeypatch.setattr(characters, constant,
+                        lambda *key: (right(*key)[0] + 1, right(*key)[1]))
+    clear_caches()
+    with pytest.raises(ExactnessError):
+        char_table(6, algorithm)
+    clear_caches()
 
 
 def test_table_q1_matches_classical():
