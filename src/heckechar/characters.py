@@ -333,7 +333,7 @@ def _sn_wide(lam, mu):
 @cached
 def _newton_scaled(top):
     """P(1/t), deg P and, for each m <= top, the coefficients
-    C = newton_coeffs(m) * P at 1/t * (t-1)^len(rho), as triples
+    C = newton_coeffs(m) * P at 1/t * (t-1)^len(rho), each as
     (rho, C, pack(C * t^deg P), ||C||_1), where
     P = prod_{k <= top} (t^k - 1): C's exponents are at least -deg P."""
     p = prod((monomial(1, k) - ONE for k in range(1, top + 1)), start=ONE)
@@ -365,14 +365,15 @@ def _newton_inner(tail, rem):
     scaled = _newton_scaled(weight(tail))[2]
     v = norm = 0
     for rho, _, c, c_norm in scaled[weight(tail) - weight(rem)]:
-        _, sub, sub_norm = _newton_cached(tail, sort_to_partition(rem + rho))
+        _, sub, sub_norm = _via_newton_cached(
+            tail, sort_to_partition(rem + rho))
         v += c * sub
         norm += c_norm * sub_norm
     return v, norm
 
 
 @cached
-def _newton_cached(lam, mu):
+def _via_newton_cached(lam, mu):
     """(chi, chi(2^64), ||chi||_1) by reduction to Hecke characters of
     lower degree through the Newton transition coefficients; bottoms
     out at the empty partition.
@@ -404,14 +405,14 @@ def _newton_cached(lam, mu):
 
 
 def _newton_wide(lam, mu, scaled):
-    # the sum _newton_cached packs, in polynomial arithmetic
+    # the sum _via_newton_cached packs, in polynomial arithmetic
     la1 = lam[0]
     tail = lam[1:]
     acc = ZERO
     for i, rem, j, count in _first_row_terms(lam, mu):
         inner = ZERO
         for rho, c, _, _ in scaled[i - la1]:
-            inner = inner + c * _newton_cached(
+            inner = inner + c * _via_newton_cached(
                 tail, sort_to_partition(rem + rho))[0]
         acc = acc + inner * (_omtinv_pow(j) * _qm1_pow(len(rem)) * count)
     return acc.shift(la1)
@@ -419,8 +420,8 @@ def _newton_wide(lam, mu, scaled):
 
 def _via_newton(lam, mu):
     """Reduce to Hecke characters of lower degree through the Newton
-    transition coefficients: the value _newton_cached holds."""
-    return _newton_cached(lam, mu)[0]
+    transition coefficients: the value _via_newton_cached holds."""
+    return _via_newton_cached(lam, mu)[0]
 
 
 # -- dispatch ------------------------------------------------------------

@@ -513,8 +513,8 @@ def test_reduction_wide_path_matches_packed(algorithm, monkeypatch):
     ("gen_sn", "_packed_cpf"), ("gen_newton", "_packed_newton_weight")])
 def test_reduction_packed_constant_off_by_one_is_caught(
         algorithm, constant, monkeypatch):
-    # negative control: one packed constant off by one in its lowest digit
-    # reaches the final exact division, which raises
+    # negative control: one memo of packed constants, each off by one in
+    # its lowest digit, reaches the final exact division, which raises
     right = getattr(characters, constant)
     monkeypatch.setattr(characters, constant,
                         lambda *key: (right(*key)[0] + 1, right(*key)[1]))
