@@ -40,7 +40,6 @@ import os
 import tempfile
 from collections import Counter
 from dataclasses import dataclass, field
-from itertools import chain
 from math import factorial, prod
 
 from .laurent import (
@@ -581,6 +580,35 @@ def char_table(n, algorithm="auto"):
     return table
 
 
+class _Entry(tuple):
+    """A checked table entry, ``((lam, mu), poly, tag)``; the JSON parser
+    never makes one, so it cannot pass for an unread entry."""
+    __slots__ = ()
+
+
+def _read_entry(entry, shared):
+    """The checked :class:`_Entry` of one entry object; ValueError if it
+    is not one in the writer's form.
+
+    Equal index tuples and tags are taken from ``shared`` (filled here),
+    so a loaded table holds one tuple per partition.
+    """
+    try:
+        lam, mu = tuple(entry["lambda"]), tuple(entry["mu"])
+        tag, pairs = entry["algorithm"], entry["poly"]
+    except (KeyError, TypeError) as err:
+        raise ValueError(f"malformed table entry: {err!r}") from err
+    # True and 1.0 hash and compare like 1, so only their type tells them
+    # apart; checked before sharing, or (2, True) would read as (2, 1)
+    if not set(map(type, lam + mu)) <= {int}:
+        raise ValueError(f"index {lam}, {mu} has a part that is not an int")
+    if type(tag) is not str:
+        raise ValueError(f"tag {tag!r} at {lam}, {mu} is not a string")
+    poly = LaurentPoly.from_pairs(pairs)
+    key = (shared.setdefault(lam, lam), shared.setdefault(mu, mu))
+    return _Entry((key, poly, shared.setdefault(tag, tag)))
+
+
 def document_to_table(doc):
     """The table a parsed document holds.
 
@@ -588,7 +616,9 @@ def document_to_table(doc):
     parts, string tags, polynomials as :meth:`LaurentPoly.from_pairs`
     requires them, and each pair of partitions of ``n`` once.  Anything
     else raises ValueError, so a loaded table writes back the same
-    values and tags it was read from.
+    values and tags it was read from.  An element of ``"entries"`` is an
+    entry object or the :class:`_Entry` that :func:`loads_table` already
+    made of one.
     """
     if not isinstance(doc, dict):
         raise ValueError("a table document must be a JSON object")
@@ -606,23 +636,16 @@ def document_to_table(doc):
             partition_count(n) ** 2 != len(entries):
         raise ValueError(f"a table of degree {n} needs p({n})^2 entries")
     table = CharTable(n=n)
-    try:
-        for entry in entries:
-            key = (tuple(entry["lambda"]), tuple(entry["mu"]))
-            tag = entry["algorithm"]
-            if type(tag) is not str:
-                raise ValueError(f"tag {tag!r} at {key} is not a string")
-            table.entries[key] = LaurentPoly.from_pairs(entry["poly"])
-            table.provenance[key] = tag
-    except (KeyError, TypeError) as err:
-        raise ValueError(f"malformed table entry: {err!r}") from err
-    # no key twice, every part an int (True and 1.0 hash and compare like
-    # 1, so only their type tells them apart), and each index a partition
-    # of n: every pair once
+    shared = {}
+    for entry in entries:
+        if type(entry) is not _Entry:
+            entry = _read_entry(entry, shared)
+        key, poly, tag = entry
+        table.entries[key] = poly
+        table.provenance[key] = tag
+    # no key twice, and each index a partition of n: every pair once
     parts, keys = set(partitions_of(n)), table.entries.keys()
-    indices = chain.from_iterable(keys)
     if len(entries) != len(keys) or \
-            set(map(type, chain.from_iterable(indices))) - {int} or \
             {lam for lam, _ in keys} | {mu for _, mu in keys} != parts:
         raise ValueError(f"the entries are not each pair of partitions of {n} once")
     return table
@@ -684,7 +707,33 @@ def dumps_table(table):
 
 
 def loads_table(text):
-    return document_to_table(json.loads(text))
+    """The table a JSON text holds; ValueError for anything else.
+
+    Each entry object becomes its :class:`_Entry` as soon as the parser
+    closes it, so its dict and pair lists are freed at once and the
+    parsed document is never held in full.  The hook rejects nothing: an
+    object that is not an entry, or that has an ``"entries"`` key and so
+    may be the document itself, stays a dict for
+    :func:`document_to_table`, so a text is accepted exactly when its
+    plain parsed document would be.
+    """
+    if not isinstance(text, (str, bytes, bytearray)):
+        raise ValueError(f"a table text is str or bytes, not {type(text).__name__}")
+    shared = {}
+
+    def convert(obj):
+        if "entries" not in obj:
+            try:
+                return _read_entry(obj, shared)
+            except ValueError:
+                pass
+        return obj
+
+    try:
+        doc = json.loads(text, object_hook=convert)
+    except RecursionError as err:
+        raise ValueError("the table text is nested too deeply") from err
+    return document_to_table(doc)
 
 
 def save_table(table, path):

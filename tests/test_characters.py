@@ -706,6 +706,9 @@ def test_loads_table_rejects_wrong_entry_sets():
     def float_part(doc):
         doc["entries"][4]["lambda"] = [2, 1.0]
 
+    # (2, True) hashes and compares equal to (2, 1), which entry 1 holds:
+    # the case a reader would miss if it shared equal index tuples before
+    # checking the part types
     def bool_part(doc):
         doc["entries"][4]["mu"] = [2, True]
 
@@ -739,6 +742,85 @@ def test_loads_table_checks_the_count_before_enumerating():
         loads_table(json.dumps(doc))
     after = partitions_of.cache_info()
     assert (after.hits, after.misses) == (before.hits, before.misses)
+
+
+@pytest.mark.parametrize("text", [
+    "[" * 200000, '{"n": ' * 200000, None, 5, ["{}"]],
+    ids=["deep_array", "deep_object", "none", "int", "list"])
+def test_loads_table_rejects_what_is_not_a_table_text(text):
+    with pytest.raises(ValueError):
+        loads_table(text)
+
+
+def test_loads_table_peak_is_below_twice_the_text():
+    import gc
+    import tracemalloc
+    text = dumps_table(char_table(10))
+    clear_caches()
+    gc.collect()
+    tracemalloc.start()
+    try:
+        loads_table(text)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2 * len(text), peak / len(text)
+
+
+def test_loads_table_accepts_what_it_always_did():
+    table = char_table(3)
+    text = dumps_table(table)
+    doc = json.loads(text)
+    entry = doc["entries"][4]
+    variants = [
+        # unknown top-level keys, entry-shaped or not
+        dict(doc, extra={"poly": 5}),
+        dict(doc, extra=dict(entry)),
+        dict(doc, extra=[dict(entry), {"lambda": 5}]),
+        # the document itself carrying an entry's keys
+        dict(doc, **entry),
+        # unknown keys in an entry, any key order, "entries" before "n"
+        dict(doc, entries=[dict(e, note={"mu": []}) for e in doc["entries"]]),
+        {key: doc[key] for key in reversed(doc)},
+        {"entries": [dict(reversed(e.items())) for e in doc["entries"]],
+         "n": 3, "variable": "q", "format_version": 1},
+    ]
+    for variant in variants:
+        again = loads_table(json.dumps(variant))
+        assert dumps_table(again) == text
+    # a duplicate key: the last one wins
+    dup = text.replace('"n": 3,', '"n": 7,\n  "n": 3,', 1)
+    assert dumps_table(loads_table(dup)) == text
+    dup = text.replace('"mu": [', '"mu": [1, 1, 1],\n      "mu": [', 1)
+    assert dumps_table(loads_table(dup)) == text
+
+
+def test_loads_table_rejects_entries_nested_in_an_entry():
+    doc = json.loads(dumps_table(char_table(3)))
+    inner = dict(doc["entries"][0])
+    for field in ("lambda", "mu", "poly", "algorithm"):
+        for value in (inner, [inner]):
+            bad = json.loads(json.dumps(doc))
+            bad["entries"][4][field] = value
+            with pytest.raises(ValueError):
+                loads_table(json.dumps(bad))
+    # an entry as the entry list, or as the degree
+    for field in ("entries", "n"):
+        bad = dict(doc, **{field: inner})
+        with pytest.raises(ValueError):
+            loads_table(json.dumps(bad))
+
+
+@pytest.mark.parametrize("n", [0, 1, 6])
+def test_loaded_table_shares_one_tuple_per_partition(n):
+    from heckechar.partitions import partition_count
+    table = loads_table(dumps_table(char_table(n)))
+    assert len({id(lam) for lam, _ in table.entries}) == partition_count(n)
+    assert len({id(mu) for _, mu in table.entries}) == partition_count(n)
+    assert len({id(tag) for tag in table.provenance.values()}) == 1
+    # a table read from a parsed document shares them too
+    table = document_to_table(json.loads(dumps_table(char_table(n))))
+    assert len({id(lam) for lam, _ in table.entries}) == partition_count(n)
 
 
 def test_save_table_failure_keeps_old_file(tmp_path):
