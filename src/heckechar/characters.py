@@ -594,10 +594,14 @@ def _read_entry(entry, shared):
     so a loaded table holds one tuple per partition.
     """
     try:
-        lam, mu = tuple(entry["lambda"]), tuple(entry["mu"])
+        lam, mu = entry["lambda"], entry["mu"]
         tag, pairs = entry["algorithm"], entry["poly"]
     except (KeyError, TypeError) as err:
         raise ValueError(f"malformed table entry: {err!r}") from err
+    # tuple() would also read "" or {} as the empty partition
+    if type(lam) is not list or type(mu) is not list:
+        raise ValueError(f"index {lam!r}, {mu!r}: both must be JSON lists")
+    lam, mu = tuple(lam), tuple(mu)
     # True and 1.0 hash and compare like 1, so only their type tells them
     # apart; checked before sharing, or (2, True) would read as (2, 1)
     if not set(map(type, lam + mu)) <= {int}:

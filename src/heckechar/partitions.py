@@ -188,21 +188,6 @@ def sub_compositions(mu, k):
     return out
 
 
-def compositions_of(total, slots):
-    """All tuples of ``slots`` non-negative integers with the given sum,
-    in ascending lexicographic order."""
-    if slots == 0:
-        if total == 0:
-            yield ()
-        return
-    if slots == 1:
-        yield (total,)
-        return
-    for first in range(total + 1):
-        for rest in compositions_of(total - first, slots - 1):
-            yield (first,) + rest
-
-
 @cached
 def partitions_of(n):
     """All partitions of n in reverse-lexicographic order, as a tuple."""

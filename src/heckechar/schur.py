@@ -7,10 +7,12 @@ on such vectors.  One loop (``_peel``) does the expansion; three
 interchangeable strategies differ only in the (partition, weight) terms one
 partition expands into:
 
-* ``peel_iterative`` -- sum over compositions into the available slots,
-  straightening each shifted index sequence;
+* ``peel_iterative`` -- sum over the compositions into the available
+  slots that survive straightening, generated slot by slot, with
+  ``straighten`` giving each one's sign and partition;
 * ``peel_det``       -- determinant expansion over all contained
-  subpartitions of the right coweight;
+  subpartitions of the right coweight, each determinant the product of
+  the Bareiss determinants of the peel matrix's diagonal blocks;
 * ``peel_strips``    -- combinatorial expansion over broken border strips.
 
 All three produce identical vectors; the pairing polynomial read off the
@@ -27,7 +29,7 @@ from math import factorial, prod
 
 from .laurent import ZERO, ONE, T, RationalFn, monomial
 from .partitions import (
-    MEMOS, cached, check_indices, compositions_of, partition_tuples,
+    MEMOS, cached, check_indices, partition_tuples,
     sort_to_partition, strip_removals, subpartitions_of_weight, weight,
 )
 
@@ -93,23 +95,61 @@ def _peel(k, vec, terms):
     return {mu: c for mu, c in out.items() if not c.is_zero()}
 
 
+def _surviving_drops(lam, k):
+    """The drops tau (k into len(lam) slots) that survive straightening.
+
+    Exactly the compositions tau of k for which ``straighten(lam - tau)``
+    is not None, in the same ascending lexicographic order: slot i drops
+    by tau_i only while w_i = lam_i + len(lam) - 1 - i - tau_i stays
+    non-negative and differs from every earlier slot's w, and the last
+    slot takes what remains.  The later slots' w are distinct and
+    non-negative, so together they drop at most the weight of their parts
+    of lam; slot i drops at least the rest.
+    """
+    l = len(lam)
+    tops = [lam[i] + l - 1 - i for i in range(l)]
+    suffix = [0] * (l + 1)
+    for i in range(l - 1, -1, -1):
+        suffix[i] = suffix[i + 1] + lam[i]
+    out = []
+    prefix = []
+    taken = set()
+
+    def rec(i, rem):
+        if i == l:
+            if rem == 0:
+                out.append(tuple(prefix))
+            return
+        top = tops[i]
+        for drop in range(max(0, rem - suffix[i + 1]), min(rem, top) + 1):
+            w = top - drop
+            if w not in taken:
+                taken.add(w)
+                prefix.append(drop)
+                rec(i + 1, rem - drop)
+                prefix.pop()
+                taken.discard(w)
+
+    rec(0, k)
+    return out
+
+
 def _iterative_terms(lam, k):
     l = len(lam)
-    for tau in compositions_of(k, l):
-        st = straighten(tuple(lam[i] - tau[i] for i in range(l)))
-        if st is None:
-            continue
-        sign, mu = st
+    for tau in _surviving_drops(lam, k):
+        sign, mu = straighten(tuple(lam[i] - tau[i] for i in range(l)))
         w = _omt_pow(sum(1 for x in tau if x))
         yield mu, (-w if sign < 0 else w)
 
 
 def peel_iterative(k, vec):
-    """Expand by summing over all ways to lower the parts by a total of k.
+    """Expand by summing over the ways to lower the parts by a total of k.
 
-    Each slot may drop by any amount (possibly overshooting into negative
-    indices, which the straightening kills); a slot that drops at all
-    contributes one factor (1 - t).
+    Only the drops that survive straightening are generated
+    (``_surviving_drops``): a slot stops dropping before its shifted
+    index goes negative and skips a shifted index that an earlier slot
+    holds.  ``straighten`` gives each survivor's sign and partition; a
+    slot that drops at all contributes one factor (1 - t).
     """
     return _peel(k, vec, _iterative_terms)
 
@@ -134,14 +174,9 @@ def _strip_matrix(lam, mu_padded):
     return rows
 
 
-def _bareiss_det(rows):
-    """Bareiss determinant over integer Laurent polynomials."""
+def _bareiss(rows):
+    # fraction-free elimination of a square block, in place
     n = len(rows)
-    if n == 0:
-        return ONE
-    for j in range(n):
-        if all(rows[i][j].is_zero() for i in range(n)):
-            return ZERO
     sign = 1
     prev = ONE
     for k in range(n - 1):
@@ -154,23 +189,54 @@ def _bareiss_det(rows):
             else:
                 return ZERO
         pivot = rows[k][k]
+        divide = not prev.is_one()
         for i in range(k + 1, n):
             rik = rows[i][k]
             row_i = rows[i]
             row_k = rows[k]
             for j in range(k + 1, n):
-                row_i[j] = (pivot * row_i[j] - rik * row_k[j]).divexact(prev)
+                v = pivot * row_i[j] - rik * row_k[j]
+                row_i[j] = v.divexact(prev) if divide else v
             row_i[k] = ZERO
         prev = pivot
     d = rows[n - 1][n - 1]
     return -d if sign < 0 else d
 
 
+def _block_det(rows):
+    """Determinant over integer Laurent polynomials.
+
+    The matrix splits before each row s for which every row from s on is
+    zero left of column s; it is block upper triangular there, so the
+    determinant is the product of the Bareiss determinants of the
+    diagonal blocks.
+    """
+    n = len(rows)
+    det = ONE
+    end = low = n
+    for s in range(n - 1, -1, -1):
+        # low: the first nonzero column over the rows s..n-1
+        row = rows[s]
+        for j in range(low):
+            if not row[j].is_zero():
+                low = j
+                break
+        if low < s:
+            continue
+        block = _bareiss([r[s:end] for r in rows[s:end]])
+        if block.is_zero():
+            return ZERO
+        if not block.is_one():
+            det = det * block
+        end = s
+    return det
+
+
 @cached
 def _scaled_det(lam, mu):
     # (1-t)^{l(lam)} * det M(lam/mu; t): an honest polynomial
     mu_padded = mu + (0,) * (len(lam) - len(mu))
-    return _bareiss_det(_strip_matrix(lam, mu_padded))
+    return _block_det(_strip_matrix(lam, mu_padded))
 
 
 def _det_terms(lam, k):

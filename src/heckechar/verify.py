@@ -94,11 +94,11 @@ _FAST_ALGS = ("mn", "strips", "oracle")
 
 
 def check_agreement(n_max=5):
-    """All seven routes agree for n <= 10, the three fast ones up to
+    """All seven routes agree for n <= 11, the three fast ones up to
     n_max; every value is a polynomial of degree at most n - len(mu)."""
     failures = []
     for n in range(1, n_max + 1):
-        algs = _FULL_ALGS if n <= 10 else _FAST_ALGS
+        algs = _FULL_ALGS if n <= 11 else _FAST_ALGS
         for lam in partitions_of(n):
             for mu in partitions_of(n):
                 ref = character(lam, mu, algs[0])

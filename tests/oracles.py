@@ -3,15 +3,16 @@
 These deliberately share no code with the library paths they check:
 standard fillings are enumerated forwards, symmetric-group characters
 come from alternant coefficient extraction in explicit variables,
-straightening is done by literal adjacent exchanges, and the table
-document is built as plain dicts for ``json.dumps`` to lay out.
+straightening is done by literal adjacent exchanges, determinants are
+summed over permutations, compositions are listed without pruning, and
+the table document is built as plain dicts for ``json.dumps`` to lay out.
 ``deformed_centralizer`` is no oracle, only the library's centralizer
 order and factors assembled into one rational function.
 """
 
 import itertools
 
-from heckechar.laurent import RationalFn
+from heckechar.laurent import ONE, ZERO, RationalFn
 from heckechar.schur import centralizer_order, centralizer_poly_factors
 
 
@@ -46,6 +47,34 @@ def _perm_sign(perm):
             if perm[i] > perm[j]:
                 inv += 1
     return -1 if inv % 2 else 1
+
+
+def leibniz_det(rows):
+    """Determinant as the signed sum over permutations of the products
+    of one entry per row."""
+    n = len(rows)
+    total = ZERO
+    for perm in itertools.permutations(range(n)):
+        term = ONE * _perm_sign(perm)
+        for i in range(n):
+            term = term * rows[i][perm[i]]
+        total = total + term
+    return total
+
+
+def compositions_of(total, slots):
+    """All tuples of ``slots`` non-negative integers with the given sum,
+    in ascending lexicographic order."""
+    if slots == 0:
+        if total == 0:
+            yield ()
+        return
+    if slots == 1:
+        yield (total,)
+        return
+    for first in range(total + 1):
+        for rest in compositions_of(total - first, slots - 1):
+            yield (first,) + rest
 
 
 def frobenius_character(lam, rho):

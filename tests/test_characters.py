@@ -811,6 +811,18 @@ def test_loads_table_rejects_entries_nested_in_an_entry():
             loads_table(json.dumps(bad))
 
 
+@pytest.mark.parametrize("field, value", [("lambda", ""), ("mu", {})])
+def test_loads_table_rejects_an_index_that_is_not_a_list(field, value):
+    # at n = 0 both read as the empty partition through tuple()
+    doc = json.loads(dumps_table(char_table(0)))
+    doc["entries"][0][field] = value
+    text = json.dumps(doc)
+    with pytest.raises(ValueError):
+        loads_table(text)
+    with pytest.raises(ValueError):
+        document_to_table(json.loads(text))
+
+
 def test_loaded_table_shares_one_tuple_per_partition():
     text = dumps_table(char_table(6))
     # a table read from a parsed document shares them too

@@ -3,7 +3,9 @@ import random
 import pytest
 
 from heckechar import schur
-from heckechar.laurent import ONE, T, ZERO, ExactnessError, RationalFn, monomial
+from heckechar.laurent import (
+    ONE, T, ZERO, ExactnessError, LaurentPoly, RationalFn, monomial,
+)
 from heckechar.partitions import (
     clear_caches, inner_corner_removals, partition_tuples, partitions_of,
     standard_tableaux_count, subpartitions_of_weight,
@@ -14,7 +16,8 @@ from heckechar.schur import (
     peel_iterative, peel_strips, straighten,
 )
 from oracles import (
-    deformed_centralizer, exchange_straighten, frobenius_character,
+    compositions_of, deformed_centralizer, exchange_straighten,
+    frobenius_character, leibniz_det,
 )
 
 OMT = ONE - T
@@ -152,6 +155,77 @@ def test_det_vanishes_on_blocks():
                 for mu in subpartitions_of_weight(lam, n - k):
                     if mu not in strips:
                         assert _scaled_det(lam, mu).is_zero(), (lam, mu)
+
+
+def _random_matrix(rng, n, zeros=(), zero_odds=0.0):
+    # random Laurent entries, nonzero except at ``zeros`` and with
+    # probability ``zero_odds`` elsewhere
+    rows = []
+    for i in range(n):
+        row = []
+        for j in range(n):
+            if (i, j) in zeros or rng.random() < zero_odds:
+                row.append(ZERO)
+                continue
+            poly = ZERO
+            while poly.is_zero():
+                poly = LaurentPoly({rng.randint(-2, 2): rng.randint(-3, 3)
+                                    for _ in range(rng.randint(1, 3))})
+            row.append(poly)
+        rows.append(row)
+    return rows
+
+
+def test_block_det_matches_permutation_sum():
+    rng = random.Random(2021)
+    for _ in range(200):
+        n = rng.randint(0, 5)
+        rows = _random_matrix(rng, n, zero_odds=rng.choice((0.0, 0.3, 0.6)))
+        expected = leibniz_det(rows)
+        assert schur._block_det([row[:] for row in rows]) == expected, rows
+
+
+@pytest.mark.parametrize("n, zeros, blocks", [
+    # a zero lower-left corner: one split, then two (blocks bottom up)
+    (4, {(i, j) for i in (2, 3) for j in (0, 1)}, [2, 2]),
+    (5, {(i, 0) for i in range(1, 5)}
+     | {(i, j) for i in (3, 4) for j in range(3)}, [2, 2, 1]),
+    # zeros below the diagonal that leave no corner: no split
+    (3, {(2, 0)}, [3]),
+    (4, {(1, 0), (2, 1), (3, 2)}, [4]),
+    # a zero row: in the middle, and as the last row, whose 1x1 block
+    # ends the determinant at once
+    (3, {(1, j) for j in range(3)}, [3]),
+    (3, {(2, j) for j in range(3)}, [1]),
+    # a zero first pivot: Bareiss swaps rows
+    (3, {(0, 0)}, [3]),
+    (0, set(), []),
+], ids=["one_split", "two_splits", "lone_zero", "subdiagonal", "zero_row",
+        "zero_last_row", "zero_pivot", "empty"])
+def test_block_det_splits_where_block_triangular(monkeypatch, n, zeros, blocks):
+    seen = []
+    bareiss = schur._bareiss
+    monkeypatch.setattr(schur, "_bareiss",
+                        lambda block: seen.append(len(block)) or bareiss(block))
+    rng = random.Random(f"block-det:{n}:{sorted(zeros)}")
+    for _ in range(20):
+        rows = _random_matrix(rng, n, zeros)
+        seen.clear()
+        assert schur._block_det([row[:] for row in rows]) == leibniz_det(rows)
+        assert seen == blocks
+
+
+def test_surviving_drops_are_the_compositions_that_straighten():
+    assert schur._surviving_drops((), 0) == [()]
+    for n in range(9):
+        for lam in partitions_of(n):
+            l = len(lam)
+            for k in range(n + 2):
+                expected = [
+                    tau for tau in compositions_of(k, l)
+                    if straighten(tuple(lam[i] - tau[i] for i in range(l)))
+                    is not None]
+                assert schur._surviving_drops(lam, k) == expected, (lam, k)
 
 
 def test_pairing_worked_example():
