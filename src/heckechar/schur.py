@@ -17,7 +17,11 @@ partition expands into:
 
 All three produce identical vectors; the pairing polynomial read off the
 empty partition after a full peel is checked against an independent
-power-sum oracle built from classical symmetric-group characters.
+power-sum oracle built from classical symmetric-group characters.  Those
+come from the Murnaghan-Nakayama rule on beta-sets, not from strip
+enumeration, so the oracle shares only ``partitions_of``,
+``partition_tuples`` and ``sort_to_partition`` with the peeling code and
+the strip routes.
 
 Everything works in a generic variable t with exact coefficients.
 """
@@ -318,23 +322,39 @@ def centralizer_poly_factors(lam):
 
 @cached
 def _classical_mn(lam, rho):
+    # beta-set rim-hook rule: with beta_i = lam_i + l - 1 - i, a rim hook of
+    # size k = rho_1 moves one bead beta_i down to a free c = beta_i - k; the
+    # rows i+1..j-1 whose beads lie strictly between move up a place, and
+    # their number is the leg length that gives the sign
     if not rho:
         return 1
     k = rho[0]
     rest = rho[1:]
+    l = len(lam)
+    beta = [p + l - 1 - i for i, p in enumerate(lam)]
     total = 0
-    for mu, comps in strip_removals(lam, k):
-        if len(comps) == 1:
-            term = _classical_mn(mu, rest)
-            if comps[0].rows % 2 == 0:
-                term = -term
-            total += term
+    for i, b in enumerate(beta):
+        c = b - k
+        if c < 0:
+            break
+        j = i + 1
+        while j < l and beta[j] > c:
+            j += 1
+        if j < l and beta[j] == c:
+            continue
+        mu = (lam[:i] + tuple(p - 1 for p in lam[i + 1:j]) + (c - l + j,)
+              + lam[j:])
+        if not c:
+            # the bead reached 0 (so j = l): drop the rows that became empty
+            mu = mu[:mu.index(0)]
+        term = _classical_mn(mu, rest)
+        total += term if (j - i) % 2 else -term
     return total
 
 
 def classical_character(lam, rho):
-    """Symmetric-group irreducible character value, by the classical
-    border-strip recursion (single strips, sign by row count)."""
+    """Symmetric-group irreducible character value, by the Murnaghan-Nakayama
+    rule on beta-sets (rim hooks as bead moves, sign by leg length)."""
     lam, rho = check_indices(lam, rho)
     return _classical_mn(lam, rho)
 
@@ -356,8 +376,10 @@ def _oracle_cached(lam, mu):
     per factor, weighted by the reciprocal deformed centralizer order),
     pairs with the Schur function via classical characters, sums the
     integer numerators over the denominator prod_j mu_j! and ends with
-    one exact division.  Shares nothing with the peeling code beyond the
-    partition enumerators.
+    one exact division.  The classical characters come from the beta-set
+    rule of ``_classical_mn``, so the oracle shares only
+    ``partitions_of``, ``partition_tuples`` and ``sort_to_partition`` with
+    the peeling code and the strip routes.
     """
     # z_{rho_j} divides mu_j!, because mu_j! / z_{rho_j} is the size of
     # the conjugacy class of S_{mu_j} of cycle type rho_j; so every term

@@ -237,9 +237,30 @@ def check_q1(n_max=5):
     return failures
 
 
+def check_classical_orthogonality(n_max=5):
+    """Column orthogonality of the symmetric-group character table:
+    sum over lam of chi^lam(rho) * chi^lam(sigma) = [rho = sigma] * z_rho,
+    in exact integers, for all rho and sigma of each n <= n_max."""
+    failures = []
+    for n in range(1, n_max + 1):
+        parts = partitions_of(n)
+        columns = [[classical_character(lam, rho) for lam in parts]
+                   for rho in parts]
+        for a, rho in enumerate(parts):
+            for b in range(a, len(parts)):
+                got = sum(x * y for x, y in zip(columns[a], columns[b]))
+                expected = centralizer_order(rho) if a == b else 0
+                if got != expected:
+                    _fail(failures, check="classical_orthogonality", rho=rho,
+                          sigma=parts[b], got=got, expected=expected)
+    return failures
+
+
 def suite_classical(n_max=5):
-    """One-row/one-column laws and the q = 1 specialization."""
-    return check_row_column_laws(n_max) + check_q1(n_max)
+    """One-row/one-column laws, the q = 1 specialization and the column
+    orthogonality of the classical characters."""
+    return (check_row_column_laws(n_max) + check_q1(n_max)
+            + check_classical_orthogonality(n_max))
 
 
 def check_supercharacters(n_max=5):

@@ -6,19 +6,39 @@ come from alternant coefficient extraction in explicit variables,
 straightening is done by literal adjacent exchanges, determinants are
 summed over permutations, compositions are listed without pruning, and
 the table document is built as plain dicts for ``json.dumps`` to lay out.
+``strip_classical_character`` is the one that leans on the library: it
+reads rim hooks off the broken-strip enumerator ``strip_removals``, which
+the beta-set rule of ``classical_character`` never calls.
 ``deformed_centralizer`` is no oracle, only the library's centralizer
 order and factors assembled into one rational function.
 """
 
+import functools
 import itertools
 
 from heckechar.laurent import ONE, ZERO, RationalFn
+from heckechar.partitions import strip_removals
 from heckechar.schur import centralizer_order, centralizer_poly_factors
 
 
 def deformed_centralizer(lam):
     """The deformed centralizer order as a rational function of t."""
     return RationalFn(centralizer_order(lam), centralizer_poly_factors(lam))
+
+
+@functools.lru_cache(maxsize=None)
+def strip_classical_character(lam, rho):
+    """Symmetric-group character by the border-strip recursion: remove a
+    strip of size rho_1 that is one connected piece in every way
+    ``strip_removals`` lists, with sign (-1)^(rows - 1)."""
+    if not rho:
+        return 1
+    total = 0
+    for mu, comps in strip_removals(lam, rho[0]):
+        if len(comps) == 1:
+            term = strip_classical_character(mu, rho[1:])
+            total += -term if comps[0].rows % 2 == 0 else term
+    return total
 
 
 def brute_standard_count(shape):

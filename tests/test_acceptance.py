@@ -11,9 +11,10 @@ import time
 
 import pytest
 
-from heckechar import verify
+from heckechar import schur, verify
 from heckechar.characters import ALGORITHMS
 from heckechar.laurent import ONE, T, ExactnessError, RationalFn
+from heckechar.partitions import clear_caches
 
 N_MAX = 8
 
@@ -44,8 +45,9 @@ def test_criterion_3_cross_algorithm_agreement():
 
 
 def test_criterion_4_classical_specialization():
-    _gate(4, "q=1 table equals the classical recursion, n <= 8",
-          verify.check_q1)
+    _gate(4, "q=1 table equals the classical characters, whose columns "
+          "are orthogonal, n <= 8",
+          lambda n: verify.check_q1(n) + verify.check_classical_orthogonality(n))
 
 
 def test_criterion_5_hook_two_row_consistency():
@@ -102,3 +104,23 @@ def test_conjugation_duality_names_a_broken_entry(monkeypatch):
     found = {(tuple(f["lam"]), tuple(f["mu"]))
              for f in verify.check_conjugation_duality(4)}
     assert found == {((3, 1), (2, 2)), ((2, 1, 1), (2, 2))}
+
+
+def test_classical_orthogonality_names_a_broken_value(monkeypatch):
+    # negative control: one wrong classical value chi^(2,1)(1^3) breaks
+    # the norm of the column (1^3) and its product with the column (3)
+    right = schur._classical_mn
+
+    def broken(lam, rho):
+        value = right(lam, rho)
+        return value + 1 if (lam, rho) == ((2, 1), (1, 1, 1)) else value
+
+    clear_caches()
+    monkeypatch.setattr(schur, "_classical_mn", broken)
+    try:
+        failures = verify.check_classical_orthogonality(3)
+    finally:
+        clear_caches()
+    assert {(tuple(f["rho"]), tuple(f["sigma"])) for f in failures} == \
+        {((3,), (1, 1, 1)), ((1, 1, 1), (1, 1, 1))}
+    assert all(f["check"] == "classical_orthogonality" for f in failures)

@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from heckechar import schur
+from heckechar import partitions, schur
 from heckechar.laurent import (
     ONE, T, ZERO, ExactnessError, LaurentPoly, RationalFn, monomial,
 )
@@ -17,7 +17,7 @@ from heckechar.schur import (
 )
 from oracles import (
     compositions_of, deformed_centralizer, exchange_straighten,
-    frobenius_character, leibniz_det,
+    frobenius_character, leibniz_det, strip_classical_character,
 )
 
 OMT = ONE - T
@@ -275,11 +275,40 @@ def test_classical_character_values():
 
 
 def test_classical_character_against_alternants():
-    for n in range(1, 6):
+    for n in range(1, 7):
         for lam in partitions_of(n):
             for rho in partitions_of(n):
                 assert classical_character(lam, rho) == \
                     frobenius_character(lam, rho), (lam, rho)
+
+
+def test_classical_character_against_strip_recursion():
+    for n in range(11):
+        for lam in partitions_of(n):
+            for rho in partitions_of(n):
+                assert classical_character(lam, rho) == \
+                    strip_classical_character(lam, rho), (lam, rho)
+
+
+def test_classical_route_needs_no_strip_enumeration(monkeypatch):
+    # the beta-set rule and the oracle built on it still answer with every
+    # strip enumerator disabled, in both modules that could reach one
+    pairs = [(lam, mu) for lam in partitions_of(6) for mu in partitions_of(6)]
+    expected = {p: pairing_polynomial(*p, "oracle") for p in pairs}
+    chars = {p: classical_character(*p) for p in pairs}
+    clear_caches()
+
+    def disabled(*args):
+        raise AssertionError("strip enumeration reached")
+
+    for module in (partitions, schur):
+        for name in ("strip_removals", "subpartitions_of_weight", "_analyze"):
+            monkeypatch.setattr(module, name, disabled, raising=False)
+    for p in pairs:
+        assert classical_character(*p) == chars[p], p
+        assert pairing_polynomial(*p, "oracle") == expected[p], p
+    assert classical_character((5, 4, 2, 1), (4, 3, 3, 2)) == \
+        frobenius_character((5, 4, 2, 1), (4, 3, 3, 2))
 
 
 def test_centralizer_values():
