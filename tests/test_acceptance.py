@@ -47,7 +47,8 @@ def test_criterion_3_cross_algorithm_agreement():
 def test_criterion_4_classical_specialization():
     _gate(4, "q=1 table equals the classical characters, whose columns "
           "are orthogonal, n <= 8",
-          lambda n: verify.check_q1(n) + verify.check_classical_orthogonality(n))
+          lambda n: (verify.check_q1(n)
+                     + verify.check_classical_orthogonality(n)))
 
 
 def test_criterion_5_hook_two_row_consistency():

@@ -307,8 +307,6 @@ def test_classical_route_needs_no_strip_enumeration(monkeypatch):
     for p in pairs:
         assert classical_character(*p) == chars[p], p
         assert pairing_polynomial(*p, "oracle") == expected[p], p
-    assert classical_character((5, 4, 2, 1), (4, 3, 3, 2)) == \
-        frobenius_character((5, 4, 2, 1), (4, 3, 3, 2))
 
 
 def test_centralizer_values():
