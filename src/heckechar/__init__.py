@@ -14,10 +14,9 @@ including a self-verification mode.
 
 from .laurent import ExactnessError, LaurentPoly, monomial, poly_gcd
 from .partitions import (
-    SkewShape, StripComponent, analyze_skew, conjugate, contingency_matrices,
-    format_partition, inner_corner_removals, parse_composition,
+    conjugate, contingency_matrices, format_partition, parse_composition,
     parse_partition, partition_tuples, partitions_of, sort_to_partition,
-    standard_tableaux_count, strip_removals, sub_compositions,
+    strip_removals, sub_compositions,
 )
 from .schur import (
     classical_character, centralizer_order, newton_coeffs,

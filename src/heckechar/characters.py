@@ -147,35 +147,25 @@ def two_row_cumulative(mu):
 # -- Murnaghan-Nakayama recursion ---------------------------------------
 
 @cached
-def _strip_weight(m, odd_rows, csum):
-    w = _qm1_pow(m - 1).shift(csum)
-    return -w if odd_rows else w
+def broken_strip_weight(k, m, j):
+    """(q-1)^(m-1) * prod (-1)^(rows-1) q^(cols-1) over the m components
+    of a broken k-strip, j the sum of their rows - 1: the cols - 1 sum
+    to k - m - j."""
+    w = _qm1_pow(m - 1).shift(k - m - j)
+    return -w if j % 2 else w
 
 
 @cached
-def _packed_weight(m, odd_rows, csum):
-    return pack(_strip_weight(m, odd_rows, csum))
-
-
-def _weight_key(comps):
-    """(m, parity of the sum of rows - 1, sum of cols - 1) over the
-    components: all the strip weight depends on."""
-    return (len(comps), sum(c.rows - 1 for c in comps) % 2,
-            sum(c.cols - 1 for c in comps))
-
-
-def broken_strip_weight(comps):
-    """(q-1)^(m-1) * prod (-1)^(rows-1) q^(cols-1) over the components."""
-    return _strip_weight(*_weight_key(comps))
+def _packed_weight(k, m, j):
+    return pack(broken_strip_weight(k, m, j))
 
 
 @cached
 def _mn_strips(lam, k):
     """(nu, packed weight, 2^(m-1)) for each broken k-strip lam/nu; the
     last is the L1 norm of the weight."""
-    return tuple(
-        (nu, _packed_weight(*_weight_key(comps)), 1 << (len(comps) - 1))
-        for nu, comps in strip_removals(lam, k))
+    return tuple((nu, _packed_weight(k, m, j), 1 << (m - 1))
+                 for nu, m, j in strip_removals(lam, k))
 
 
 @cached
@@ -207,9 +197,10 @@ def _mn_value(lam, mu):
 
 @cached
 def _mn_wide(lam, mu):
+    k = mu[0]
     acc = ZERO
-    for nu, comps in strip_removals(lam, mu[0]):
-        acc = acc + broken_strip_weight(comps) * _mn_value(nu, mu[1:])
+    for nu, m, j in strip_removals(lam, k):
+        acc = acc + broken_strip_weight(k, m, j) * _mn_value(nu, mu[1:])
     return acc
 
 

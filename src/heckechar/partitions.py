@@ -1,4 +1,4 @@
-"""Partitions, compositions, skew shapes and border strips.
+"""Partitions, compositions and broken border strips.
 
 Partitions are plain tuples of positive integers in weakly decreasing
 order with no trailing zeros; compositions are tuples of non-negative
@@ -19,7 +19,6 @@ iterator-based tests are deterministic.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from functools import lru_cache
 
 MEMOS = {}
@@ -134,30 +133,6 @@ def conjugate(lam):
     return tuple(sum(1 for p in lam if p > j) for j in range(lam[0]))
 
 
-def inner_corner_removals(lam):
-    """All partitions obtained by deleting one removable box of ``lam``.
-
-    One result per distinct part value; empty input gives an empty list.
-    """
-    out = []
-    for i in range(len(lam)):
-        below = lam[i + 1] if i + 1 < len(lam) else 0
-        if lam[i] > below:
-            if lam[i] == 1:
-                out.append(lam[:i])
-            else:
-                out.append(lam[:i] + (lam[i] - 1,) + lam[i + 1:])
-    return out
-
-
-@cached
-def standard_tableaux_count(lam):
-    """Number of standard fillings, by the branching recursion."""
-    if not lam:
-        return 1
-    return sum(standard_tableaux_count(mu) for mu in inner_corner_removals(lam))
-
-
 def sub_compositions(mu, k):
     """All tuples tau with 0 <= tau_i <= mu_i and sum k, ascending lex.
 
@@ -224,70 +199,6 @@ def partition_tuples(nu):
     return itertools.product(*(partitions_of(k) for k in nu))
 
 
-@dataclass(frozen=True, slots=True)
-class StripComponent:
-    """Row/column/box counts of one connected piece of a skew shape."""
-    rows: int
-    cols: int
-    size: int
-
-
-@dataclass(frozen=True)
-class SkewShape:
-    outer: tuple
-    inner: tuple
-
-    def __post_init__(self):
-        if len(self.inner) > len(self.outer):
-            raise ValueError(f"inner {self.inner} not contained in outer {self.outer}")
-        for i, p in enumerate(self.inner):
-            if p > self.outer[i]:
-                raise ValueError(f"inner {self.inner} not contained in outer {self.outer}")
-
-
-def _analyze(outer, inner):
-    # one pass over the rows; each piece is [rows, left, right, size]
-    flag = True
-    pieces = []
-    prev_lo = prev_hi = 0
-    for i, hi in enumerate(outer):
-        lo = inner[i] if i < len(inner) else 0
-        if lo >= hi:
-            # an empty row joins nothing
-            prev_lo = prev_hi = 0
-            continue
-        overlap = min(hi, prev_hi) - max(lo, prev_lo)
-        if overlap > 0:
-            if overlap > 1:
-                flag = False
-            piece = pieces[-1]
-            piece[0] += 1
-            piece[1] = min(piece[1], lo)
-            piece[2] = max(piece[2], hi)
-            piece[3] += hi - lo
-        else:
-            pieces.append([1, lo, hi, hi - lo])
-        prev_lo, prev_hi = lo, hi
-    return flag, tuple(StripComponent(rows=r, cols=right - left, size=size)
-                       for r, left, right, size in pieces)
-
-
-def analyze_skew(shape):
-    """Decompose a skew shape into connected components, top to bottom.
-
-    Row i of the shape is the column interval [inner_i, outer_i).  Two
-    consecutive non-empty rows lie in one component exactly when their
-    intervals overlap, and an overlap of two or more columns is a 2x2
-    block; a component's column count is the width of the union of its
-    intervals.
-
-    Returns ``(is_broken_border_strip, components)`` where the flag is
-    true iff no component contains a 2x2 block.  The empty skew is a
-    broken border strip with zero components.
-    """
-    return _analyze(shape.outer, shape.inner)
-
-
 def subpartitions_of_weight(lam, w):
     """All partitions mu contained in lam (componentwise) of weight w."""
     l = len(lam)
@@ -313,16 +224,40 @@ def subpartitions_of_weight(lam, w):
 
 @cached
 def strip_removals(lam, k):
-    """All (mu, components) with mu inside lam, |lam/mu| = k and lam/mu a
-    k-broken border strip."""
-    n = sum(lam)
-    if k < 0 or k > n:
-        return ()
+    """Every broken k-strip lam/nu as ``(nu, m, j)``: m is its number of
+    connected components and j the sum over them of rows - 1, all that
+    the strip weights depend on (the cols - 1 sum to k - m - j).  The nu
+    run in reverse-lexicographic order; ValueError unless lam is a
+    partition and k an int."""
+    lam = check_partition(lam)
+    if type(k) is not int:
+        raise ValueError(f"not a strip size: {k!r}")
+    return _strip_tails(lam, k, False)
+
+
+@cached
+def _strip_tails(rows, k, joined):
+    """The strips of size k over ``rows``, the lower rows of a partition,
+    as in :func:`strip_removals`; ``joined`` says that the row above
+    shares a column with the first row, which must then lose a box.
+
+    A row that loses r boxes leaves no 2x2 block with the next row while
+    r <= gap + 1, gap the difference of the two rows; at r = gap + 1 the
+    two rows share a column and the next row is joined.
+    """
+    if not rows:
+        return (((), 0, 0),) if k == 0 else ()
+    head, rest = rows[0], rows[1:]
+    gap = head - (rest[0] if rest else 0)
+    # a joined row adds one to j, loses at least one box and starts no
+    # component; the rows below can lose at most all their boxes
+    j, new = (1, 0) if joined else (0, 1)
     out = []
-    for mu in subpartitions_of_weight(lam, n - k):
-        flag, comps = _analyze(lam, mu)
-        if flag:
-            out.append((mu, comps))
+    for r in range(max(j, k - sum(rest)), min(k, gap + 1, head) + 1):
+        keep = head - r
+        m = new if r else 0
+        for nu, tm, tj in _strip_tails(rest, k - r, r > gap):
+            out.append(((keep,) + nu if keep else nu, tm + m, tj + j))
     return tuple(out)
 
 

@@ -260,9 +260,8 @@ def peel_det(k, vec):
 
 
 def _strip_terms(lam, k):
-    for mu, comps in strip_removals(lam, k):
-        rsum = sum(c.rows - 1 for c in comps)
-        yield mu, _omt_pow(len(comps)) * _neg_t_pow(rsum)
+    for mu, m, j in strip_removals(lam, k):
+        yield mu, _omt_pow(m) * _neg_t_pow(j)
 
 
 def peel_strips(k, vec):

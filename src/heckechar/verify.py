@@ -157,22 +157,20 @@ def check_identities(n_max=5):
                 if b[j] != b[n - j]:
                     _fail(failures, check="two_row_weight_palindrome",
                           mu=mu, j=j)
-    # border-strip row/column identity and the strip-weight consistency:
-    # the peel coefficient (1-t)^m prod (-t)^(rows-1) equals
-    # t^(k-1) (1-t) times the recursion weight with the variable inverted
-    # (the printed same-variable form fails already at lam=(2))
+    # each listed strip's shape and counts, recomputed from (lam, nu), and
+    # the strip-weight consistency: the peel coefficient
+    # (1-t)^m (-t)^j equals t^(k-1) (1-t) times the recursion weight
+    # with the variable inverted (the printed same-variable form fails
+    # already at lam=(2))
     for n in range(1, n_max + 1):
         for lam in partitions_of(n):
             for k in range(1, n + 1):
-                for mu, comps in strip_removals(lam, k):
-                    for c in comps:
-                        if c.rows + c.cols != c.size + 1:
-                            _fail(failures, check="strip_row_col",
-                                  lam=lam, mu=mu)
-                    m = len(comps)
-                    rsum = sum(c.rows - 1 for c in comps)
-                    lhs = (ONE - T) ** m * monomial(-1 if rsum % 2 else 1, rsum)
-                    wt_inv = broken_strip_weight(comps).invert_variable()
+                for mu, m, j in strip_removals(lam, k):
+                    if _strip_counts(lam, mu, k) != (m, j):
+                        _fail(failures, check="strip_counts", lam=lam,
+                              mu=mu, m=m, j=j)
+                    lhs = (ONE - T) ** m * monomial(-1 if j % 2 else 1, j)
+                    wt_inv = broken_strip_weight(k, m, j).invert_variable()
                     rhs = monomial(1, k - 1) * (ONE - T) * wt_inv
                     if lhs != rhs:
                         _fail(failures, check="strip_weight_consistency",
@@ -181,6 +179,25 @@ def check_identities(n_max=5):
         if not bracket_identity_check(k):
             _fail(failures, check="bracket_identity", k=k)
     return failures
+
+
+def _strip_counts(lam, nu, k):
+    """(m, j) of lam/nu read off the rows, or None unless nu is a
+    partition inside lam of weight |lam| - k with nu_i >= lam_{i+1} - 1
+    (no 2x2 block).  Row i is in the skew when nu_i < lam_i, and it
+    shares a column with row i + 1 when nu_i < lam_{i+1}: m counts the
+    rows in the skew that share none with the row above, j the shared
+    pairs."""
+    if len(nu) > len(lam) or sum(nu) != sum(lam) - k or 0 in nu:
+        return None
+    nu = nu + (0,) * (len(lam) - len(nu))
+    below = lam[1:] + (0,)
+    if any(not (b - 1 <= v <= p) for v, p, b in zip(nu, lam, below)) or \
+            any(a < b for a, b in zip(nu, nu[1:])):
+        return None
+    rows = sum(1 for v, p in zip(nu, lam) if v < p)
+    j = sum(1 for v, b in zip(nu, below) if v < b)
+    return rows - j, j
 
 
 def check_conjugation_duality(n_max=5):

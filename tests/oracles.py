@@ -4,20 +4,23 @@ These deliberately share no code with the library paths they check:
 standard fillings are enumerated forwards, symmetric-group characters
 come from alternant coefficient extraction in explicit variables,
 straightening is done by literal adjacent exchanges, determinants are
-summed over permutations, compositions are listed without pruning, and
-the table document is built as plain dicts for ``json.dumps`` to lay out.
-``strip_classical_character`` is the one that leans on the library: it
-reads rim hooks off the broken-strip enumerator ``strip_removals``, which
-the beta-set rule of ``classical_character`` never calls.
+summed over permutations, compositions are listed without pruning,
+broken strips are found by filtering every subpartition through a skew
+analysis of its rows, and the table document is built as plain dicts for
+``json.dumps`` to lay out.  ``strip_classical_character`` is the one that
+leans on the library: it reads rim hooks off the broken-strip enumerator
+``strip_removals``, which the beta-set rule of ``classical_character``
+never calls.
 ``deformed_centralizer`` is no oracle, only the library's centralizer
 order and factors assembled into one rational function.
 """
 
 import functools
 import itertools
+from dataclasses import dataclass
 
 from heckechar.laurent import ONE, ZERO, RationalFn
-from heckechar.partitions import strip_removals
+from heckechar.partitions import strip_removals, subpartitions_of_weight
 from heckechar.schur import centralizer_order, centralizer_poly_factors
 
 
@@ -34,11 +37,35 @@ def strip_classical_character(lam, rho):
     if not rho:
         return 1
     total = 0
-    for mu, comps in strip_removals(lam, rho[0]):
-        if len(comps) == 1:
+    for mu, m, j in strip_removals(lam, rho[0]):
+        if m == 1:
             term = strip_classical_character(mu, rho[1:])
-            total += -term if comps[0].rows % 2 == 0 else term
+            total += -term if j % 2 else term
     return total
+
+
+def inner_corner_removals(lam):
+    """All partitions obtained by deleting one removable box of ``lam``.
+
+    One result per distinct part value; empty input gives an empty list.
+    """
+    out = []
+    for i in range(len(lam)):
+        below = lam[i + 1] if i + 1 < len(lam) else 0
+        if lam[i] > below:
+            if lam[i] == 1:
+                out.append(lam[:i])
+            else:
+                out.append(lam[:i] + (lam[i] - 1,) + lam[i + 1:])
+    return out
+
+
+@functools.lru_cache(maxsize=None)
+def standard_tableaux_count(lam):
+    """Number of standard fillings, by the branching recursion."""
+    if not lam:
+        return 1
+    return sum(standard_tableaux_count(mu) for mu in inner_corner_removals(lam))
 
 
 def brute_standard_count(shape):
@@ -191,6 +218,86 @@ def box_skew_analysis(outer, inner):
                    and (i + 1, j + 1) in boxes for i, j in boxes)
     return flag, tuple((len({b[0] for b in c}), len({b[1] for b in c}), len(c))
                        for c in comps)
+
+
+@dataclass(frozen=True, slots=True)
+class StripComponent:
+    """Row/column/box counts of one connected piece of a skew shape."""
+    rows: int
+    cols: int
+    size: int
+
+
+@dataclass(frozen=True)
+class SkewShape:
+    outer: tuple
+    inner: tuple
+
+    def __post_init__(self):
+        if len(self.inner) > len(self.outer):
+            raise ValueError(f"inner {self.inner} not contained in outer {self.outer}")
+        for i, p in enumerate(self.inner):
+            if p > self.outer[i]:
+                raise ValueError(f"inner {self.inner} not contained in outer {self.outer}")
+
+
+def analyze_skew(shape):
+    """Decompose a skew shape into connected components, top to bottom.
+
+    Row i of the shape is the column interval [inner_i, outer_i).  Two
+    consecutive non-empty rows lie in one component exactly when their
+    intervals overlap, and an overlap of two or more columns is a 2x2
+    block; a component's column count is the width of the union of its
+    intervals.
+
+    Returns ``(is_broken_border_strip, components)`` where the flag is
+    true iff no component contains a 2x2 block.  The empty skew is a
+    broken border strip with zero components.
+    """
+    outer, inner = shape.outer, shape.inner
+    # one pass over the rows; each piece is [rows, left, right, size]
+    flag = True
+    pieces = []
+    prev_lo = prev_hi = 0
+    for i, hi in enumerate(outer):
+        lo = inner[i] if i < len(inner) else 0
+        if lo >= hi:
+            # an empty row joins nothing
+            prev_lo = prev_hi = 0
+            continue
+        overlap = min(hi, prev_hi) - max(lo, prev_lo)
+        if overlap > 0:
+            if overlap > 1:
+                flag = False
+            piece = pieces[-1]
+            piece[0] += 1
+            piece[1] = min(piece[1], lo)
+            piece[2] = max(piece[2], hi)
+            piece[3] += hi - lo
+        else:
+            pieces.append([1, lo, hi, hi - lo])
+        prev_lo, prev_hi = lo, hi
+    return flag, tuple(StripComponent(rows=r, cols=right - left, size=size)
+                       for r, left, right, size in pieces)
+
+
+def filtered_strips(lam, k):
+    """Every broken k-strip lam/nu as ``(nu, components)``: each
+    subpartition of weight |lam| - k, in the enumerator's
+    reverse-lexicographic order, kept when ``analyze_skew`` finds no 2x2
+    block."""
+    out = []
+    for nu in subpartitions_of_weight(lam, sum(lam) - k):
+        flag, comps = analyze_skew(SkewShape(lam, nu))
+        if flag:
+            out.append((nu, comps))
+    return tuple(out)
+
+
+def strip_triple(nu, comps):
+    """``(nu, m, j)`` as ``strip_removals`` reports a strip: m components,
+    j the sum of their rows - 1."""
+    return nu, len(comps), sum(c.rows - 1 for c in comps)
 
 
 def reference_document(table):

@@ -125,3 +125,25 @@ def test_classical_orthogonality_names_a_broken_value(monkeypatch):
     assert {(tuple(f["rho"]), tuple(f["sigma"])) for f in failures} == \
         {((3,), (1, 1, 1)), ((1, 1, 1), (1, 1, 1))}
     assert all(f["check"] == "classical_orthogonality" for f in failures)
+
+
+def test_strip_counts_name_a_miscounted_strip(monkeypatch):
+    # negative control: the strips of (3, 1) with one count wrong, and one
+    # listed skew (2, 2)/() that holds a 2x2 block; the check recounts m
+    # and j from (lam, nu) and names both
+    right = verify.strip_removals
+
+    def broken(lam, k):
+        strips = right(lam, k)
+        if (lam, k) == ((3, 1), 2):
+            return tuple((nu, m + 1, j) if nu == (1, 1) else (nu, m, j)
+                         for nu, m, j in strips)
+        if (lam, k) == ((2, 2), 4):
+            return (((), 1, 1),)
+        return strips
+
+    monkeypatch.setattr(verify, "strip_removals", broken)
+    failures = [f for f in verify.check_identities(4)
+                if f["check"] == "strip_counts"]
+    assert [(tuple(f["lam"]), tuple(f["mu"])) for f in failures] == \
+        [((3, 1), (1, 1)), ((2, 2), ())]

@@ -3,9 +3,7 @@ import random
 import pytest
 
 from heckechar.laurent import ONE, T, ZERO, LaurentPoly, RationalFn, monomial
-from heckechar.partitions import (
-    partition_tuples, partitions_of, standard_tableaux_count,
-)
+from heckechar.partitions import partition_tuples, partitions_of
 from heckechar.schur import centralizer_order
 from heckechar.characters import character, two_row_cumulative
 from heckechar.applications import (
@@ -14,7 +12,7 @@ from heckechar.applications import (
     supercharacter_hooks_explicit, supercharacter_two_rows,
     supercharacter_two_rows_explicit,
 )
-from oracles import deformed_centralizer
+from oracles import deformed_centralizer, standard_tableaux_count
 
 
 def test_entry_weight_conventions():

@@ -11,9 +11,7 @@ import pytest
 from heckechar.laurent import (
     ONE, T, ZERO, ExactnessError, LaurentPoly, RationalFn, monomial, pack,
 )
-from heckechar.partitions import (
-    format_partition, partitions_of, standard_tableaux_count, strip_removals,
-)
+from heckechar.partitions import format_partition, partitions_of, strip_removals
 from heckechar.schur import classical_character, pairing_polynomial
 from heckechar import characters
 from heckechar.characters import (
@@ -23,7 +21,7 @@ from heckechar.characters import (
     _mn_cached, _mn_strips, clear_caches,
 )
 
-from oracles import reference_document
+from oracles import reference_document, standard_tableaux_count
 
 OMT = ONE - T
 TINV = monomial(1, -1)
@@ -387,10 +385,10 @@ def test_packed_strip_weights_are_the_strip_weights():
             for k in range(1, n + 1):
                 packed = _mn_strips(lam, k)
                 strips = strip_removals(lam, k)
-                assert [nu for nu, _, _ in packed] == [nu for nu, _ in strips]
-                for (_, w, norm), (_, comps) in zip(packed, strips):
-                    assert w == pack(broken_strip_weight(comps))
-                    assert norm == 2 ** (len(comps) - 1)
+                assert [nu for nu, _, _ in packed] == [nu for nu, _, _ in strips]
+                for (_, w, norm), (_, m, j) in zip(packed, strips):
+                    assert w == pack(broken_strip_weight(k, m, j))
+                    assert norm == 2 ** (m - 1)
 
 
 def test_packed_table_matches_dict_route():
@@ -479,8 +477,9 @@ def test_wide_bound_falls_back_to_polynomials():
         # the strip recursion on LaurentPoly arithmetic throughout
         if not mu:
             return ZERO if lam else ONE
-        return sum((broken_strip_weight(comps) * reference(nu, mu[1:])
-                    for nu, comps in strip_removals(lam, mu[0])), ZERO)
+        k = mu[0]
+        return sum((broken_strip_weight(k, m, j) * reference(nu, mu[1:])
+                    for nu, m, j in strip_removals(lam, k)), ZERO)
 
     mixed = (3, 2, 2) + (1,) * 42
     assert _mn_cached(lam, mixed)[1] >= 2 ** 63

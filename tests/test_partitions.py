@@ -4,13 +4,19 @@ from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
+from heckechar import partitions
+from heckechar.characters import character
+from heckechar.laurent import ONE
 from heckechar.partitions import (
-    SkewShape, analyze_skew, conjugate, contingency_matrices,
-    format_partition, inner_corner_removals, parse_composition,
-    parse_partition, partition_count, partition_tuples, partitions_of,
-    standard_tableaux_count, strip_removals, sub_compositions,
+    clear_caches, conjugate, contingency_matrices, format_partition,
+    parse_composition, parse_partition, partition_count, partition_tuples,
+    partitions_of, strip_removals, sub_compositions,
 )
-from oracles import box_skew_analysis, brute_standard_count
+from oracles import (
+    SkewShape, analyze_skew, box_skew_analysis, brute_standard_count,
+    filtered_strips, inner_corner_removals, standard_tableaux_count,
+    strip_triple,
+)
 
 
 def test_conjugate_examples():
@@ -61,11 +67,14 @@ def test_tableaux_conjugation_and_square_sum():
 
 
 def test_tableaux_memo_linearizable():
-    # concurrent calls must agree with the serial values
+    # concurrent calls into the package memos must agree with the serial
+    # values: at mu = 1^n the character is the number of standard tableaux
     shapes = [lam for n in range(9) for lam in partitions_of(n)]
-    expected = [standard_tableaux_count(lam) for lam in shapes]
+    expected = [standard_tableaux_count(lam) * ONE for lam in shapes]
+    clear_caches()
     with ThreadPoolExecutor(max_workers=8) as pool:
-        got = list(pool.map(standard_tableaux_count, shapes * 4))
+        got = list(pool.map(lambda lam: character(lam, (1,) * sum(lam)),
+                            shapes * 4))
     assert got == expected * 4
 
 
@@ -158,29 +167,67 @@ def test_skew_shape_validation():
 
 
 def test_strip_row_col_identity():
-    # every border-strip component satisfies rows + cols = size + 1
+    # every border-strip component satisfies rows + cols = size + 1, so
+    # the cols - 1 of a strip's components sum to k - m - j, the column
+    # shift the strip weights read off the (nu, m, j) triple
     for n in range(1, 9):
         for lam in partitions_of(n):
             for k in range(1, n + 1):
-                for _, comps in strip_removals(lam, k):
+                for nu, comps in filtered_strips(lam, k):
                     for c in comps:
                         assert c.rows + c.cols == c.size + 1
+                    _, m, j = strip_triple(nu, comps)
+                    assert sum(c.cols - 1 for c in comps) == k - m - j
 
 
 def test_strip_removals_examples():
-    out = strip_removals((2, 1), 3)
-    assert len(out) == 1
-    mu, comps = out[0]
-    assert mu == () and len(comps) == 1 and comps[0].rows == 2
-
-    out = strip_removals((6,), 6)
-    assert [m for m, _ in out] == [()]
-    assert out[0][1][0].rows == 1 and out[0][1][0].cols == 6
-
-    assert [m for m, _ in strip_removals((3, 2), 2)] == [(3,), (2, 1)]
-
-    assert strip_removals((2, 1), 0) == (((2, 1), ()),)
+    # a hook is one component over two rows
+    assert strip_removals((2, 1), 3) == (((), 1, 1),)
+    assert strip_removals((6,), 6) == (((), 1, 0),)
+    # (3, 2)/(2, 1) is two single boxes, one in each row
+    assert strip_removals((3, 2), 2) == (((3,), 1, 0), ((2, 1), 2, 0))
+    assert strip_removals((2, 1), 0) == (((2, 1), 0, 0),)
     assert strip_removals((2, 1), 9) == ()
+    assert strip_removals((2, 1), -1) == ()
+
+
+def test_strip_removals_match_the_subpartition_filter():
+    # the same strips, in the same order, as filtering every subpartition
+    # of weight |lam| - k through the skew analysis, out-of-range k included
+    pairs = 0
+    for n in range(13):
+        for lam in partitions_of(n):
+            for k in range(-1, n + 2):
+                expected = tuple(strip_triple(nu, comps)
+                                 for nu, comps in filtered_strips(lam, k))
+                assert strip_removals(lam, k) == expected, (lam, k)
+                pairs += 1
+    assert pairs == 3462
+
+
+def test_strip_removals_never_reenter_their_module_name(monkeypatch):
+    # the benchmark spans partitions.strip_removals by rebinding that
+    # name: one call must be one span, however deep the recursion goes
+    calls = []
+    original = partitions.strip_removals
+
+    def counted(lam, k):
+        calls.append((lam, k))
+        return original(lam, k)
+
+    monkeypatch.setattr(partitions, "strip_removals", counted)
+    clear_caches()
+    assert len(partitions.strip_removals((6, 5, 3, 3, 2, 1), 9)) > 1
+    assert calls == [((6, 5, 3, 3, 2, 1), 9)]
+
+
+@pytest.mark.parametrize("lam, k", [
+    ((2, 3), 1), ((2, 0), 1), ((2, -1), 1), ((2.0,), 1), (None, 1),
+    ((3, 1), 1.0), ((3, 1), True), ((3, 1), None)])
+def test_strip_removals_reject_malformed_input(lam, k):
+    clear_caches()
+    with pytest.raises(ValueError):
+        strip_removals(lam, k)
 
 
 def test_contingency_matrices():
