@@ -8,6 +8,9 @@ routes are exposed so they can cross-validate.
 
 from __future__ import annotations
 
+from collections import Counter
+from math import prod
+
 from .laurent import ZERO, ONE, T, LaurentPoly
 from .partitions import (
     cached, check_composition, check_weights, contingency_matrices,
@@ -107,17 +110,18 @@ def bracket_identity_check(k):
 
 def gram_pairing(lam, mu):
     """Pairing of two products of deformed one-row functions: the sum over
-    contingency matrices of the product of entry weights."""
+    contingency matrices of the product of entry weights.
+
+    A matrix's product depends only on the multiset of its nonzero
+    entries, so the matrices are counted per sorted entry tuple and each
+    distinct product is formed once, times its count."""
     lam, mu = check_composition(lam), check_composition(mu)
     check_weights(lam, mu)
+    counts = Counter(tuple(sorted(e for row in matrix for e in row if e))
+                     for matrix in contingency_matrices(lam, mu))
     total = ZERO
-    for matrix in contingency_matrices(lam, mu):
-        prod = ONE
-        for row in matrix:
-            for entry in row:
-                if entry:
-                    prod = prod * entry_weight(entry)
-        total = total + prod
+    for entries, count in counts.items():
+        total = total + prod(map(entry_weight, entries), start=ONE) * count
     return total
 
 

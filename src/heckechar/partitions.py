@@ -222,17 +222,28 @@ def subpartitions_of_weight(lam, w):
     yield from rec(0, w, big)
 
 
-@cached
 def strip_removals(lam, k):
     """Every broken k-strip lam/nu as ``(nu, m, j)``: m is its number of
     connected components and j the sum over them of rows - 1, all that
     the strip weights depend on (the cols - 1 sum to k - m - j).  The nu
     run in reverse-lexicographic order; ValueError unless lam is a
-    partition and k an int."""
+    partition and k an int.  The check runs on every call, before the
+    memo is read, so an argument that only equals a memoised key (True
+    for 1, a list for a tuple) is checked as itself."""
     lam = check_partition(lam)
     if type(k) is not int:
         raise ValueError(f"not a strip size: {k!r}")
+    return _checked_strips(lam, k)
+
+
+@cached
+def _checked_strips(lam, k):
     return _strip_tails(lam, k, False)
+
+
+# the memo's counters under the public name, where the benchmark tracer
+# reads the strip hit ratio
+strip_removals.cache_info = _checked_strips.cache_info
 
 
 @cached

@@ -29,9 +29,9 @@ Everything works in a generic variable t with exact coefficients.
 from __future__ import annotations
 
 from collections import Counter
-from math import factorial, prod
+from math import comb, factorial, prod
 
-from .laurent import ZERO, ONE, T, RationalFn, monomial
+from .laurent import ZERO, ONE, T, LaurentPoly, RationalFn, monomial
 from .partitions import (
     MEMOS, cached, check_indices, partition_tuples,
     sort_to_partition, strip_removals, subpartitions_of_weight, weight,
@@ -315,8 +315,15 @@ def centralizer_order(lam):
 @cached
 def centralizer_poly_factors(lam):
     """Product of (1 - t^part) over the parts; the polynomial part of the
-    reciprocal deformed centralizer order."""
-    return prod((ONE - monomial(1, p) for p in lam), start=ONE)
+    reciprocal deformed centralizer order.  A part p of multiplicity m
+    contributes (1 - t^p)^m = sum_k (-1)^k C(m, k) t^(pk), written out
+    directly, so there is one product per distinct part."""
+    out = ONE
+    for p, m in Counter(lam).items():
+        out = out * LaurentPoly._raw({
+            p * k: -comb(m, k) if k % 2 else comb(m, k)
+            for k in range(m + 1)})
+    return out
 
 
 @cached

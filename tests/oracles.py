@@ -11,6 +11,9 @@ analysis of its rows, and the table document is built as plain dicts for
 leans on the library: it reads rim hooks off the broken-strip enumerator
 ``strip_removals``, which the beta-set rule of ``classical_character``
 never calls.
+``matrix_product_sum`` walks the library's ``contingency_matrices``
+too, but multiplies every matrix's entry weights out on its own, from
+their definition.
 ``deformed_centralizer`` is no oracle, only the library's centralizer
 order and factors assembled into one rational function.
 """
@@ -19,14 +22,44 @@ import functools
 import itertools
 from dataclasses import dataclass
 
-from heckechar.laurent import ONE, ZERO, RationalFn
-from heckechar.partitions import strip_removals, subpartitions_of_weight
+from heckechar.laurent import ONE, T, ZERO, LaurentPoly, RationalFn
+from heckechar.partitions import (
+    contingency_matrices, strip_removals, subpartitions_of_weight,
+)
 from heckechar.schur import centralizer_order, centralizer_poly_factors
 
 
 def deformed_centralizer(lam):
     """The deformed centralizer order as a rational function of t."""
     return RationalFn(centralizer_order(lam), centralizer_poly_factors(lam))
+
+
+def factorwise_centralizer_factors(rho):
+    """prod (1 - t^part) over the parts of rho, one factor at a time."""
+    out = ONE
+    for p in rho:
+        out = out * LaurentPoly({0: 1, p: -1})
+    return out
+
+
+@functools.lru_cache(maxsize=None)
+def _defined_entry_weight(e):
+    return (T - ONE) ** 2 * LaurentPoly({2 * j: 1 for j in range(e)})
+
+
+def matrix_product_sum(row_sums, col_sums):
+    """The Gram pairing one matrix at a time: the sum over contingency
+    matrices of the product over their nonzero entries e of the weight
+    (t - 1)^2 (1 + t^2 + ... + t^(2e - 2))."""
+    total = ZERO
+    for matrix in contingency_matrices(row_sums, col_sums):
+        term = ONE
+        for row in matrix:
+            for e in row:
+                if e:
+                    term = term * _defined_entry_weight(e)
+        total = total + term
+    return total
 
 
 @functools.lru_cache(maxsize=None)

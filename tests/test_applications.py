@@ -2,8 +2,11 @@ import random
 
 import pytest
 
+from heckechar import applications
 from heckechar.laurent import ONE, T, ZERO, LaurentPoly, RationalFn, monomial
-from heckechar.partitions import partition_tuples, partitions_of
+from heckechar.partitions import (
+    contingency_matrices, partition_tuples, partitions_of,
+)
 from heckechar.schur import centralizer_order
 from heckechar.characters import character, two_row_cumulative
 from heckechar.applications import (
@@ -12,7 +15,9 @@ from heckechar.applications import (
     supercharacter_hooks_explicit, supercharacter_two_rows,
     supercharacter_two_rows_explicit,
 )
-from oracles import deformed_centralizer, standard_tableaux_count
+from oracles import (
+    deformed_centralizer, matrix_product_sum, standard_tableaux_count,
+)
 
 
 def test_entry_weight_conventions():
@@ -84,6 +89,41 @@ def test_neg_q_bracket():
 def test_gram_pairing_values():
     assert gram_pairing((1,), (1,)) == (T - ONE) ** 2
     assert gram_pairing((2,), (1, 1)) == (T - ONE) ** 4
+
+
+def test_gram_pairing_against_the_matrix_by_matrix_sum():
+    # grouping the matrices by their entry multiset changes no value
+    for n in range(7):
+        for lam in partitions_of(n):
+            for mu in partitions_of(n):
+                assert gram_pairing(lam, mu) == matrix_product_sum(lam, mu), \
+                    (lam, mu)
+    # compositions in any order, with zero parts inside
+    rng = random.Random(4711)
+    for _ in range(40):
+        n = rng.randint(1, 6)
+        sides = []
+        for _ in range(2):
+            parts = [*rng.choice(partitions_of(n)), *[0] * rng.randint(1, 2)]
+            rng.shuffle(parts)
+            sides.append(tuple(parts))
+        assert gram_pairing(*sides) == matrix_product_sum(*sides), sides
+
+
+def test_gram_pairing_consumes_every_matrix_of_one_enumeration(monkeypatch):
+    calls = []
+
+    def counted(row_sums, col_sums):
+        calls.append(0)
+        for matrix in contingency_matrices(row_sums, col_sums):
+            calls[-1] += 1
+            yield matrix
+
+    monkeypatch.setattr(applications, "contingency_matrices", counted)
+    lam, mu = (3, 0, 2, 1), (2, 2, 1, 1)
+    gram_pairing(lam, mu)
+    assert calls == [sum(1 for _ in contingency_matrices(lam, mu))]
+    assert calls[0] > 1
 
 
 def test_gram_pairing_symmetry():

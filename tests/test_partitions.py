@@ -230,6 +230,23 @@ def test_strip_removals_reject_malformed_input(lam, k):
         strip_removals(lam, k)
 
 
+@pytest.mark.parametrize("lam, k", [
+    ((3, 1), True), ((3, 1), 1.0), ((3, True), 1)])
+def test_strip_removals_check_on_a_warm_memo(lam, k):
+    # each malformed call equals a memoised key, (3, 1) and 1, and must
+    # still be rejected once the strips of that key are memoised
+    clear_caches()
+    strip_removals((3, 1), 1)
+    with pytest.raises(ValueError):
+        strip_removals(lam, k)
+
+
+def test_strip_removals_read_a_list_like_its_tuple():
+    clear_caches()
+    assert strip_removals([3, 1], 1) == strip_removals((3, 1), 1)
+    assert strip_removals([4, 2, 1], 3) == strip_removals((4, 2, 1), 3)
+
+
 def test_contingency_matrices():
     assert list(contingency_matrices((1,), (1,))) == [((1,),)]
     assert list(contingency_matrices((2,), (1, 1))) == [((1, 1),)]

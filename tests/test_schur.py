@@ -12,12 +12,12 @@ from heckechar.partitions import (
 )
 from heckechar.schur import (
     _oracle_cached, _scaled_det, _strip_matrix, centralizer_order,
-    classical_character, newton_coeffs, pairing_polynomial, peel_det,
-    peel_iterative, peel_strips, straighten,
+    centralizer_poly_factors, classical_character, newton_coeffs,
+    pairing_polynomial, peel_det, peel_iterative, peel_strips, straighten,
 )
 from oracles import (
     compositions_of, deformed_centralizer, exchange_straighten,
-    frobenius_character, inner_corner_removals,
+    factorwise_centralizer_factors, frobenius_character, inner_corner_removals,
     leibniz_det, standard_tableaux_count, strip_classical_character,
 )
 
@@ -323,6 +323,18 @@ def test_centralizer_values():
                 signed = signed + inv
         assert plain == RationalFn(OMT)
         assert signed == RationalFn(monomial(1, n) - monomial(1, n - 1))
+
+
+def test_centralizer_poly_factors_against_factorwise_products():
+    # one binomial expansion per distinct part equals the product of
+    # every part's factor, term for term
+    count = 0
+    for n in range(15):
+        for rho in partitions_of(n):
+            got = centralizer_poly_factors(rho)
+            assert got.terms == factorwise_centralizer_factors(rho).terms, rho
+            count += 1
+    assert count == 508
 
 
 def test_oracle_exactness_is_enforced(monkeypatch):
