@@ -8,7 +8,7 @@ Public entry point is :func:`character`, which runs one of:
   q = 2^64, one int per value with a bound on its L1 norm, and reads the
   coefficients back as balanced base-2^64 digits; a value whose bound
   reaches 2^63 (at mu = 1^n the bound is the number of standard
-  tableaux) is summed over its strips in polynomial arithmetic instead;
+  tableaux) is summed once more at the wider digits the bound needs;
 * closed forms for one-row, one-column, hook and two-row shapes, driven
   by two weight sequences obtained from small generating-function
   products; each is an explicit route only, chosen by its name;
@@ -18,9 +18,8 @@ Public entry point is :func:`character`, which runs one of:
 * two general reduction formulas ("gen_sn" reduces to symmetric-group
   characters of lower degree, "gen_newton" to Hecke characters of lower
   degree via the Newton transition coefficients); each sums its terms
-  packed at q = 2^64 in the same way, reads the sum back once and ends
-  in one exact division, and sums in polynomial arithmetic instead when
-  the bound reaches 2^63.
+  packed in the same way, with digits as wide as the bound needs, reads
+  the sum back once and ends in one exact division.
 
 All routes return the identical polynomial; the value depends only on
 the multiset of parts of the lower index, which is sorted on entry.
@@ -43,7 +42,8 @@ from dataclasses import dataclass, field
 from math import factorial, prod
 
 from .laurent import (
-    ZERO, ONE, T, ExactnessError, LaurentPoly, monomial, pack, unpack,
+    ZERO, ONE, T, ExactnessError, LaurentPoly, digit_bits, monomial, pack,
+    unpack,
 )
 # clear_caches is re-exported: the CLI and the benchmark call it from here
 from .partitions import (
@@ -71,6 +71,18 @@ def _qm1_pow(j):
 @cached
 def _omtinv_pow(j):
     return ONE_MINUS_TINV ** j
+
+
+def _read_packed(total, *args):
+    """The polynomial a packed sum holds: ``total(*args, bits)`` is the
+    sum at q = 2^bits and a bound on its L1 norm, which does not depend
+    on bits.  Summed at 64 bits, and once more at the width the bound
+    needs when that is wider."""
+    v, norm = total(*args, 64)
+    bits = digit_bits(norm)
+    if bits > 64:
+        v = total(*args, bits)[0]
+    return unpack(v, norm, bits)
 
 
 def normalize_g_to_chi(g, n, l_mu):
@@ -156,28 +168,28 @@ def broken_strip_weight(k, m, j):
 
 
 @cached
-def _packed_weight(k, m, j):
-    return pack(broken_strip_weight(k, m, j))
+def _packed_weight(k, m, j, bits):
+    return pack(broken_strip_weight(k, m, j), bits)
 
 
 @cached
-def _mn_strips(lam, k):
+def _mn_strips(lam, k, bits):
     """(nu, packed weight, 2^(m-1)) for each broken k-strip lam/nu; the
     last is the L1 norm of the weight."""
-    return tuple((nu, _packed_weight(k, m, j), 1 << (m - 1))
+    return tuple((nu, _packed_weight(k, m, j, bits), 1 << (m - 1))
                  for nu, m, j in strip_removals(lam, k))
 
 
 @cached
-def _mn_cached(lam, mu):
-    """(chi(Q), L) at Q = 2^64: the character packed, and a bound on its
+def _mn_cached(lam, mu, bits):
+    """(chi(Q), L) at Q = 2^bits: the character packed, and a bound on its
     L1 norm, the sum over strips of 2^(m-1) * L(sub)."""
     if not mu:
         return (0, 0) if lam else (1, 1)
     rest = mu[1:]
     v = norm = 0
-    for nu, w, w_norm in _mn_strips(lam, mu[0]):
-        sub, sub_norm = _mn_cached(nu, rest)
+    for nu, w, w_norm in _mn_strips(lam, mu[0], bits):
+        sub, sub_norm = _mn_cached(nu, rest, bits)
         if sub:
             v += w * sub
             norm += w_norm * sub_norm
@@ -186,32 +198,17 @@ def _mn_cached(lam, mu):
 
 def _mn_value(lam, mu):
     """Character by removing a broken border strip for each part of mu,
-    largest part first: the packed value read back, or, when its bound
-    is too wide for a 64-bit digit, the strip sum of its sub-values in
-    polynomial arithmetic."""
-    try:
-        return unpack(*_mn_cached(lam, mu))
-    except OverflowError:
-        return _mn_wide(lam, mu)
-
-
-@cached
-def _mn_wide(lam, mu):
-    k = mu[0]
-    acc = ZERO
-    for nu, m, j in strip_removals(lam, k):
-        acc = acc + broken_strip_weight(k, m, j) * _mn_value(nu, mu[1:])
-    return acc
+    largest part first: the packed sum read back."""
+    return _read_packed(_mn_cached, lam, mu)
 
 
 # -- general reduction formulas -----------------------------------------
 #
 # Both reductions sum their terms as ints, the polynomials evaluated at
-# q = 2^64 (each shifted to non-negative exponents) with a bound on the
-# L1 norm beside them, read the sum back once and end in one exact
-# division.  A sum whose bound is too wide for a 64-bit digit is formed
-# again in LaurentPoly arithmetic (the _wide functions), as _mn_value
-# does.
+# q = 2^bits (each shifted to non-negative exponents) with a bound on the
+# L1 norm beside them, read the sum back once through _read_packed and
+# end in one exact division.  Every packed constant and inner sum is
+# memoised per width, bits the last key.
 
 def _l1(poly):
     return sum(map(abs, poly.terms.values()))
@@ -252,20 +249,20 @@ def _sn_numerator(tail, nu, z, fact):
 
 
 @cached
-def _packed_base(i, j):
-    # (1 - 1/t)^j * t^i at 2^64: j = nz(tau) <= |tau| = i, so no exponent
-    # is negative; its L1 norm is 2^j
-    return pack(_omtinv_pow(j).shift(i))
+def _packed_base(i, j, bits):
+    # (1 - 1/t)^j * t^i at 2^bits: j = nz(tau) <= |tau| = i, so no
+    # exponent is negative; its L1 norm is 2^j
+    return pack(_omtinv_pow(j).shift(i), bits)
 
 
 @cached
-def _packed_cpf(nu):
+def _packed_cpf(nu, bits):
     c = centralizer_poly_factors(nu)
-    return pack(c), _l1(c)
+    return pack(c, bits), _l1(c)
 
 
 @cached
-def _sn_inner(tail, rem):
+def _sn_inner(tail, rem, bits):
     """The sum over the power-sum terms of prod_j h_rem_j of
     centralizer_poly_factors(nu) * numerator, packed, and its bound.
     (tail, rem) fixes everything the sum reads: rho runs over the
@@ -276,9 +273,21 @@ def _sn_inner(tail, rem):
     for nu, z in _power_sum_terms(rem):
         numer = _sn_numerator(tail, nu, z, fact)
         if numer:
-            c, c_norm = _packed_cpf(nu)
+            c, c_norm = _packed_cpf(nu, bits)
             v += c * numer
             norm += c_norm * abs(numer)
+    return v, norm
+
+
+def _sn_sum(lam, mu, bits):
+    """The numerator _via_sn divides, packed, and its bound."""
+    tail = lam[1:]
+    v = norm = 0
+    for i, rem, j, count in _first_row_terms(lam, mu):
+        inner, inner_norm = _sn_inner(tail, rem, bits)
+        if inner_norm:
+            v += _packed_base(i, j, bits) * inner * count
+            norm += (inner_norm << j) * count
     return v, norm
 
 
@@ -291,40 +300,15 @@ def _via_sn(lam, mu):
     the n_j! divides (n - lam_1)!.  So integer numerators are summed
     over that one denominator and a single exact division ends the sum.
     """
-    tail = lam[1:]
-    v = norm = 0
-    for i, rem, j, count in _first_row_terms(lam, mu):
-        inner, inner_norm = _sn_inner(tail, rem)
-        if inner_norm:
-            v += _packed_base(i, j) * inner * count
-            norm += (inner_norm << j) * count
-    try:
-        acc = unpack(v, norm)
-    except OverflowError:
-        acc = _sn_wide(lam, mu)
-    return acc.divexact(_qm1_pow(len(mu)) * factorial(weight(tail)))
-
-
-def _sn_wide(lam, mu):
-    # the sum _via_sn packs, in polynomial arithmetic
-    tail = lam[1:]
-    fact = factorial(weight(tail))
-    acc = ZERO
-    for i, rem, j, count in _first_row_terms(lam, mu):
-        base = _omtinv_pow(j).shift(i)
-        for nu, z in _power_sum_terms(rem):
-            numer = _sn_numerator(tail, nu, z, fact)
-            if numer:
-                acc = acc + base * centralizer_poly_factors(nu) * (
-                    numer * count)
-    return acc
+    return _read_packed(_sn_sum, lam, mu).divexact(
+        _qm1_pow(len(mu)) * factorial(weight(lam) - lam[0]))
 
 
 @cached
-def _newton_scaled(top):
+def _newton_scaled(top, bits):
     """P(1/t), deg P and, for each m <= top, the coefficients
     C = newton_coeffs(m) * P at 1/t * (t-1)^len(rho), each as
-    (rho, C, pack(C * t^deg P), ||C||_1), where
+    (rho, pack(C * t^deg P, bits), ||C||_1), where
     P = prod_{k <= top} (t^k - 1): C's exponents are at least -deg P."""
     p = prod((monomial(1, k) - ONE for k in range(1, top + 1)), start=ONE)
     deg = top * (top + 1) // 2
@@ -332,7 +316,7 @@ def _newton_scaled(top):
     def term(rho, c):
         c = (c.num * p).divexact(c.den).invert_variable() * \
             _qm1_pow(len(rho))
-        return rho, c, pack(c.shift(deg)), _l1(c)
+        return rho, pack(c.shift(deg), bits), _l1(c)
 
     return p.invert_variable(), deg, [
         tuple(term(rho, c) for rho, c in newton_coeffs(m).items())
@@ -340,31 +324,46 @@ def _newton_scaled(top):
 
 
 @cached
-def _packed_newton_weight(j, r, l):
-    # (1 - 1/t)^j * (t-1)^r * t^l at 2^64 and its L1 norm; j = nz(tau)
+def _packed_newton_weight(j, r, l, bits):
+    # (1 - 1/t)^j * (t-1)^r * t^l at 2^bits and its L1 norm; j = nz(tau)
     # <= l = len(mu), so no exponent is negative
     w = _omtinv_pow(j) * _qm1_pow(r)
-    return pack(w.shift(l)), _l1(w)
+    return pack(w.shift(l), bits), _l1(w)
 
 
 @cached
-def _newton_inner(tail, rem):
+def _newton_inner(tail, rem, bits):
     """The sum over rho of C_rho * chi^tail_(rem + rho), packed, and its
     bound, with the C of _newton_scaled(|tail|): (tail, rem) fixes rho's
     degree |tail| - |rem| and the offset deg P of the packed C."""
-    scaled = _newton_scaled(weight(tail))[2]
+    scaled = _newton_scaled(weight(tail), bits)[2]
     v = norm = 0
-    for rho, _, c, c_norm in scaled[weight(tail) - weight(rem)]:
+    for rho, c, c_norm in scaled[weight(tail) - weight(rem)]:
         _, sub, sub_norm = _via_newton_cached(
-            tail, sort_to_partition(rem + rho))
+            tail, sort_to_partition(rem + rho), bits)
         v += c * sub
         norm += c_norm * sub_norm
     return v, norm
 
 
+def _newton_sum(lam, mu, bits):
+    """The numerator _via_newton_cached divides, packed, and its bound;
+    it carries t^(deg P + len(mu)) from the offsets."""
+    tail = lam[1:]
+    l = len(mu)
+    v = norm = 0
+    for _, rem, j, count in _first_row_terms(lam, mu):
+        inner, inner_norm = _newton_inner(tail, rem, bits)
+        if inner_norm:
+            w, w_norm = _packed_newton_weight(j, len(rem), l, bits)
+            v += w * inner * count
+            norm += w_norm * inner_norm * count
+    return v, norm
+
+
 @cached
-def _via_newton_cached(lam, mu):
-    """(chi, chi(2^64), ||chi||_1) by reduction to Hecke characters of
+def _via_newton_cached(lam, mu, bits):
+    """(chi, chi(2^bits), ||chi||_1) by reduction to Hecke characters of
     lower degree through the Newton transition coefficients; bottoms
     out at the empty partition.
 
@@ -375,43 +374,19 @@ def _via_newton_cached(lam, mu):
     exact, since chi is known once divided."""
     if not lam:
         return (ONE, 1, 1) if not mu else (ZERO, 0, 0)
-    tail = lam[1:]
     l = len(mu)
-    v = norm = 0
-    for _, rem, j, count in _first_row_terms(lam, mu):
-        inner, inner_norm = _newton_inner(tail, rem)
-        if inner_norm:
-            w, w_norm = _packed_newton_weight(j, len(rem), l)
-            v += w * inner * count
-            norm += w_norm * inner_norm * count
-    den, deg, scaled = _newton_scaled(weight(tail))
-    try:
-        # the packed sum carries t^(deg P + len(mu)) from the offsets
-        acc = unpack(v, norm).shift(lam[0] - deg - l)
-    except OverflowError:
-        acc = _newton_wide(lam, mu, scaled)
+    # P and deg P do not depend on the width: read them where the 64-bit
+    # sum read its coefficients
+    den, deg, _ = _newton_scaled(weight(lam) - lam[0], 64)
+    acc = _read_packed(_newton_sum, lam, mu).shift(lam[0] - deg - l)
     chi = acc.divexact(den * _qm1_pow(l))
-    return chi, pack(chi), _l1(chi)
-
-
-def _newton_wide(lam, mu, scaled):
-    # the sum _via_newton_cached packs, in polynomial arithmetic
-    la1 = lam[0]
-    tail = lam[1:]
-    acc = ZERO
-    for i, rem, j, count in _first_row_terms(lam, mu):
-        inner = ZERO
-        for rho, c, _, _ in scaled[i - la1]:
-            inner = inner + c * _via_newton_cached(
-                tail, sort_to_partition(rem + rho))[0]
-        acc = acc + inner * (_omtinv_pow(j) * _qm1_pow(len(rem)) * count)
-    return acc.shift(la1)
+    return chi, pack(chi, bits), _l1(chi)
 
 
 def _via_newton(lam, mu):
     """Reduce to Hecke characters of lower degree through the Newton
     transition coefficients: the value _via_newton_cached holds."""
-    return _via_newton_cached(lam, mu)[0]
+    return _via_newton_cached(lam, mu, 64)[0]
 
 
 # -- dispatch ------------------------------------------------------------

@@ -291,37 +291,47 @@ def monomial(coeff, exp):
     return LaurentPoly._raw({exp: coeff}) if coeff else ZERO
 
 
-# -- Kronecker substitution: a polynomial as its value at 2^64 ------------
+# -- Kronecker substitution: a polynomial as its value at 2^bits ----------
 
-_HALF = 1 << 63
-_BIAS_DIGIT = bytes(7) + b"\x80"   # 2^63 as 8 little-endian bytes
-
-
-def pack(poly):
-    """The value of ``poly`` at q = 2^64; its exponents must all be
+def pack(poly, bits):
+    """The value of ``poly`` at q = 2^bits; its exponents must all be
     non-negative."""
-    return sum(c << (64 * e) for e, c in poly.terms.items())
+    return sum(c << (bits * e) for e, c in poly.terms.items())
 
 
-def unpack(v, norm):
-    """The polynomial p with ``pack(p) == v``, given a bound ``norm`` on
-    the absolute value of every coefficient (the L1 norm is one).
+def digit_bits(norm):
+    """The least multiple of 64, bits, with ``norm`` < 2^(bits-1): the
+    narrowest digits :func:`unpack` reads under that bound."""
+    return (norm.bit_length() // 64 + 1) * 64
 
-    The balanced base-2^64 digits of ``v``, each in [-2^63, 2^63), are
-    p's coefficients whenever every coefficient lies in that range, so a
-    norm of 2^63 or more raises OverflowError: a capacity limit of the
-    packing, not an inexact division.
+
+def unpack(v, norm, bits):
+    """The polynomial p with ``pack(p, bits) == v``, given a bound
+    ``norm`` on the absolute value of every coefficient (the L1 norm is
+    one); ``bits`` is a multiple of 64.
+
+    The balanced base-2^bits digits of ``v``, each in
+    [-2^(bits-1), 2^(bits-1)), are p's coefficients whenever every
+    coefficient lies in that range, so a norm of 2^(bits-1) or more
+    raises OverflowError: a capacity limit of the packing, not an
+    inexact division.
     """
-    if norm >= _HALF:
+    half, width = 1 << (bits - 1), bits // 8
+    if norm >= half:
         raise OverflowError(f"coefficient bound {norm} needs more than a "
-                            "balanced 64-bit digit")
-    # adding 2^63 to every digit makes them all non-negative, so one
+                            f"balanced {bits}-bit digit")
+    # adding 2^(bits-1) to every digit makes them all non-negative, so one
     # conversion to bytes reads them all
-    size = abs(v).bit_length() // 64 + 2
-    biased = v + int.from_bytes(_BIAS_DIGIT * size, "little")
-    digits = struct.unpack(f"<{size}Q", biased.to_bytes(8 * size, "little"))
-    return LaurentPoly._raw({e: d - _HALF
-                             for e, d in enumerate(digits) if d != _HALF})
+    size = abs(v).bit_length() // bits + 2
+    biased = v + int.from_bytes((bytes(width - 1) + b"\x80") * size, "little")
+    raw = biased.to_bytes(width * size, "little")
+    if bits == 64:
+        digits = struct.unpack(f"<{size}Q", raw)
+    else:
+        digits = [int.from_bytes(raw[i:i + width], "little")
+                  for i in range(0, len(raw), width)]
+    return LaurentPoly._raw({e: d - half
+                             for e, d in enumerate(digits) if d != half})
 
 
 def _divmod_honest(a, b):

@@ -399,21 +399,27 @@ def _oracle_cached(lam, mu):
     return acc.divexact(den)
 
 
-@cached
 def newton_coeffs(m):
     """Transition coefficients from the degree-m dual elementary vector to
     the one-row product basis, by the generalized Newton recursion.
 
     Returns a dict mapping each partition of m to a RationalFn in t.
-    Treat the result as read-only (it is cached).
+    Treat the result as read-only (it is cached).  ValueError unless m
+    is a non-negative int; the check runs on every call, before the memo
+    is read, so True is not taken for 1.
     """
-    if m < 0:
-        raise ValueError("m must be non-negative")
+    if type(m) is not int or m < 0:
+        raise ValueError(f"m must be a non-negative int, not {m!r}")
+    return _newton_coeffs(m)
+
+
+@cached
+def _newton_coeffs(m):
     if m == 0:
         return {(): RationalFn(ONE)}
     acc = {}
     for k in range(1, m + 1):
-        for rho, c in newton_coeffs(m - k).items():
+        for rho, c in _newton_coeffs(m - k).items():
             key = tuple(sorted(rho + (k,), reverse=True))
             cur = acc.get(key)
             acc[key] = c if cur is None else cur + c

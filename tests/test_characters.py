@@ -9,7 +9,8 @@ from concurrent.futures import ThreadPoolExecutor
 import pytest
 
 from heckechar.laurent import (
-    ONE, T, ZERO, ExactnessError, LaurentPoly, RationalFn, monomial, pack,
+    ONE, T, ZERO, ExactnessError, LaurentPoly, RationalFn, digit_bits,
+    monomial, pack, unpack,
 )
 from heckechar.partitions import format_partition, partitions_of, strip_removals
 from heckechar.schur import classical_character, pairing_polynomial
@@ -383,11 +384,11 @@ def test_packed_strip_weights_are_the_strip_weights():
     for n in range(1, 9):
         for lam in partitions_of(n):
             for k in range(1, n + 1):
-                packed = _mn_strips(lam, k)
+                packed = _mn_strips(lam, k, 64)
                 strips = strip_removals(lam, k)
                 assert [nu for nu, _, _ in packed] == [nu for nu, _, _ in strips]
                 for (_, w, norm), (_, m, j) in zip(packed, strips):
-                    assert w == pack(broken_strip_weight(k, m, j))
+                    assert w == pack(broken_strip_weight(k, m, j), 64)
                     assert norm == 2 ** (m - 1)
 
 
@@ -464,12 +465,13 @@ def test_table_probe_catches_a_broken_mirror(monkeypatch):
     assert char_table(4).entries == char_table(4, "strips").entries
 
 
-def test_wide_bound_falls_back_to_polynomials():
+def test_wide_bound_reads_wider_digits():
     # at mu = 1^49 the bound is f^lam, about 4.7e23 for lam = 7^7: past
-    # one 64-bit digit, so the value is summed from its strips
+    # one 64-bit digit, so the value is summed again at 128 bits
     lam = (7,) * 7
     ones = (1,) * 49
-    assert _mn_cached(lam, ones)[1] == standard_tableaux_count(lam) >= 2 ** 63
+    bound = _mn_cached(lam, ones, 64)[1]
+    assert bound == standard_tableaux_count(lam) and digit_bits(bound) == 128
     assert character(lam, ones) == standard_tableaux_count(lam) * ONE
 
     @functools.cache
@@ -482,29 +484,26 @@ def test_wide_bound_falls_back_to_polynomials():
                     for nu, m, j in strip_removals(lam, k)), ZERO)
 
     mixed = (3, 2, 2) + (1,) * 42
-    assert _mn_cached(lam, mixed)[1] >= 2 ** 63
+    assert digit_bits(_mn_cached(lam, mixed, 64)[1]) == 128
     assert character(lam, mixed) == reference(lam, mixed)
 
 
 @pytest.mark.parametrize("algorithm", ["gen_sn", "gen_newton"])
-def test_reduction_wide_path_matches_packed(algorithm, monkeypatch):
-    # with every packed sum refused, both reductions sum in LaurentPoly
-    # arithmetic, as they do past the 2^63 bound; the tables must not move
-    packed = []
-    for n in range(8):
-        clear_caches()
-        packed.append(char_table(n, algorithm).entries)
-    refused = []
-
-    def refuse(v, norm):
-        refused.append(norm)
-        raise OverflowError("forced")
-
-    monkeypatch.setattr(characters, "unpack", refuse)
-    for n in range(8):
-        clear_caches()
-        assert char_table(n, algorithm).entries == packed[n], n
-    assert refused
+def test_reduction_wide_path_matches_packed(algorithm):
+    # a reduction's sum taken at wider digits reads back the same
+    # polynomial under the same bound, as it must past the 2^63 bound
+    total = {"gen_sn": characters._sn_sum,
+             "gen_newton": characters._newton_sum}[algorithm]
+    clear_caches()
+    for n in range(1, 8):
+        for lam in partitions_of(n):
+            for mu in partitions_of(n):
+                v, norm = total(lam, mu, 64)
+                want = unpack(v, norm, 64)
+                for bits in (128, 192):
+                    v, wide_norm = total(lam, mu, bits)
+                    assert wide_norm == norm, (lam, mu, bits)
+                    assert unpack(v, norm, bits) == want, (lam, mu, bits)
     clear_caches()
 
 

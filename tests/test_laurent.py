@@ -3,8 +3,8 @@ import random
 import pytest
 
 from heckechar.laurent import (
-    ONE, T, ZERO, ExactnessError, LaurentPoly, RationalFn, monomial, pack,
-    poly_gcd, unpack,
+    ONE, T, ZERO, ExactnessError, LaurentPoly, RationalFn, digit_bits,
+    monomial, pack, poly_gcd, unpack,
 )
 
 
@@ -143,28 +143,45 @@ def test_serialization_pairs():
 
 def test_pack_unpack_round_trip():
     rng = random.Random(2009)
-    for _ in range(200):
-        # exponents lifted to >= 0; coefficients of both signs
-        p = rand_poly(rng, max_terms=6, max_coeff=10 ** 6).shift(3)
-        v = pack(p)
-        assert v == sum(c * 2 ** (64 * e) for e, c in p.terms.items())
-        assert unpack(v, sum(abs(c) for c in p.terms.values())) == p
-    signs = LaurentPoly({0: -1, 1: 1, 2: -(2 ** 63 - 1), 4: 2 ** 63 - 1})
-    assert unpack(pack(signs), 2 ** 63 - 1) == signs
-    assert pack(ZERO) == 0
-    assert unpack(0, 0) == ZERO
+    for bits in (64, 128, 192):
+        half = 2 ** (bits - 1)
+        for _ in range(200):
+            # exponents lifted to >= 0; coefficients of both signs
+            p = rand_poly(rng, max_terms=6, max_coeff=10 ** 6).shift(3)
+            v = pack(p, bits)
+            assert v == sum(c * 2 ** (bits * e) for e, c in p.terms.items())
+            assert unpack(v, sum(abs(c) for c in p.terms.values()), bits) == p
+        signs = LaurentPoly({0: -1, 1: 1, 2: -(half - 1), 4: half - 1})
+        assert unpack(pack(signs, bits), half - 1, bits) == signs
+        assert pack(ZERO, bits) == 0
+        assert unpack(0, 0, bits) == ZERO
 
 
 def test_unpack_capacity_limit():
-    p = LaurentPoly({0: 2 ** 62, 1: -(2 ** 62) + 1})
-    assert unpack(pack(p), 2 ** 63 - 1) == p
-    # a bound of 2^63 could hide a coefficient of 2^63 that reads as
-    # -2^63 plus a carry, so it is refused, not misread
-    with pytest.raises(OverflowError):
-        unpack(pack(p), 2 ** 63)
-    with pytest.raises(OverflowError):
-        unpack(2 ** 63, 2 ** 63)
+    for bits in (64, 128, 192):
+        quarter = 2 ** (bits - 2)
+        p = LaurentPoly({0: quarter, 1: -quarter + 1})
+        assert unpack(pack(p, bits), 2 * quarter - 1, bits) == p
+        # a bound of 2^(bits-1) could hide a coefficient of 2^(bits-1)
+        # that reads as -2^(bits-1) plus a carry, so it is refused, not
+        # misread
+        with pytest.raises(OverflowError):
+            unpack(pack(p, bits), 2 * quarter, bits)
+        with pytest.raises(OverflowError):
+            unpack(2 * quarter, 2 * quarter, bits)
     assert not issubclass(OverflowError, ExactnessError)
+
+
+def test_digit_bits_is_the_narrowest_width_under_the_bound():
+    assert digit_bits(0) == 64
+    assert digit_bits(2 ** 63 - 1) == 64
+    assert digit_bits(2 ** 63) == 128
+    assert digit_bits(2 ** 127 - 1) == 128
+    assert digit_bits(2 ** 127) == 192
+    for norm in (1, 2 ** 63, 2 ** 127, 3 ** 100):
+        bits = digit_bits(norm)
+        assert norm < 2 ** (bits - 1) and (bits == 64 or
+                                           norm >= 2 ** (bits - 65))
 
 
 def test_rational_serialization():

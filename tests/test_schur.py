@@ -388,6 +388,14 @@ def test_newton_coefficients_match_published_expansions():
     assert newton_coeffs(0) == {(): RationalFn(ONE)}
 
 
+@pytest.mark.parametrize("m", [True, 2.0, "3", None, -1])
+def test_newton_coeffs_reject_malformed_input_on_a_warm_memo(m):
+    # True equals the memoised key 1 and must still be rejected
+    newton_coeffs(1)
+    with pytest.raises(ValueError):
+        newton_coeffs(m)
+
+
 def test_newton_power_sum_identity():
     # expanding the transition back into power sums must reproduce the
     # signed reciprocal classical centralizer coefficients
