@@ -10,27 +10,38 @@ Every value is an exact Laurent polynomial (see :mod:`heckechar.laurent`);
 several independent algorithms compute each character and agree term by
 term.  The ``heckechar`` console script exposes the same functionality,
 including a self-verification mode.
+
+Every callable in ``__all__`` raises ValueError for malformed input,
+checked on every call before any memo is read.
 """
 
-from .laurent import ExactnessError, LaurentPoly, monomial, poly_gcd
+from .laurent import ExactnessError, LaurentPoly
 from .partitions import (
-    conjugate, contingency_matrices, format_partition, parse_composition,
-    parse_partition, partition_tuples, partitions_of, sort_to_partition,
-    strip_removals, sub_compositions,
+    conjugate, format_partition, parse_composition, parse_partition,
+    partitions_of, strip_removals,
 )
-from .schur import (
-    classical_character, centralizer_order, newton_coeffs,
-    pairing_polynomial, peel_det, peel_iterative, peel_strips, straighten,
-)
+from .schur import classical_character, newton_coeffs, pairing_polynomial
 from .characters import (
-    ALGORITHMS, ALGORITHM_NAMES, CharTable, char_table, character,
-    clear_caches, dumps_table, hook_weights, load_table, loads_table,
-    normalize_g_to_chi, save_table, two_row_cumulative, two_row_weights,
+    ALGORITHM_NAMES, char_table, character, clear_caches, dumps_table,
+    hook_weights, load_table, loads_table, save_table, two_row_cumulative,
+    two_row_weights,
 )
 from .applications import (
-    bitrace, bitrace_via_gram, bracket_identity_check, entry_weight,
-    gram_pairing, supercharacter_hooks, supercharacter_hooks_explicit,
-    supercharacter_two_rows, supercharacter_two_rows_explicit,
+    bitrace, bitrace_via_gram, supercharacter_hooks,
+    supercharacter_hooks_explicit, supercharacter_two_rows,
+    supercharacter_two_rows_explicit,
 )
+
+__all__ = [
+    "ALGORITHM_NAMES", "ExactnessError", "LaurentPoly", "bitrace",
+    "bitrace_via_gram", "char_table", "character", "classical_character",
+    "clear_caches", "conjugate", "dumps_table", "format_partition",
+    "hook_weights", "load_table", "loads_table", "newton_coeffs",
+    "pairing_polynomial", "parse_composition", "parse_partition",
+    "partitions_of", "save_table", "strip_removals", "supercharacter_hooks",
+    "supercharacter_hooks_explicit", "supercharacter_two_rows",
+    "supercharacter_two_rows_explicit", "two_row_cumulative",
+    "two_row_weights",
+]
 
 __version__ = "0.1.0"

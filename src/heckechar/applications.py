@@ -53,11 +53,7 @@ def supercharacter_hooks_explicit(mu):
     """The defining sum over all hooks of degree n."""
     mu = _lone_mu(mu)
     n = weight(mu)
-    total = ZERO
-    for i in range(n):
-        lam = (n - i,) + (1,) * i
-        total = total + character(lam, mu)
-    return total
+    return sum((character((n - i,) + (1,) * i, mu) for i in range(n)), ZERO)
 
 
 def supercharacter_two_rows(mu):
@@ -78,11 +74,8 @@ def supercharacter_two_rows(mu):
 def supercharacter_two_rows_explicit(mu):
     mu = _lone_mu(mu)
     n = weight(mu)
-    total = ZERO
-    for i in range(n // 2 + 1):
-        lam = (n - i, i) if i else (n,)
-        total = total + (n - 2 * i + 1) * character(lam, mu)
-    return total
+    return sum(((n - 2 * i + 1) * character((n - i, i) if i else (n,), mu)
+                for i in range(n // 2 + 1)), ZERO)
 
 
 @cached
@@ -94,18 +87,6 @@ def entry_weight(k):
         return ONE
     bracket = LaurentPoly({2 * j: 1 for j in range(k)})
     return _qm1_pow(2) * bracket
-
-
-def bracket_identity_check(k):
-    """Self-test of the inductive identity defining the entry weights:
-    1 - t + (t-1) * sum_i (k-i)_t t^i equals (k)_t."""
-    if k < 1:
-        raise ValueError("k must be at least 1")
-    acc = ZERO
-    for i in range(1, k + 1):
-        acc = acc + entry_weight(k - i).shift(i)
-    lhs = ONE - T + (T - ONE) * acc
-    return lhs == entry_weight(k)
 
 
 def gram_pairing(lam, mu):
@@ -149,12 +130,9 @@ def bitrace(lam, mu, method="matrices"):
         total = gram_pairing(lam, mu)
         return total.divexact(_qm1_pow(len(lam) + len(mu)))
     if method == "char_sum":
-        lam_p = sort_to_partition(lam)
-        mu_p = sort_to_partition(mu)
-        total = ZERO
-        for rho in partitions_of(n):
-            total = total + character(rho, lam_p) * character(rho, mu_p)
-        return total
+        lam_p, mu_p = sort_to_partition(lam), sort_to_partition(mu)
+        return sum((character(rho, lam_p) * character(rho, mu_p)
+                    for rho in partitions_of(n)), ZERO)
     raise ValueError(f"unknown bitrace method {method!r}")
 
 

@@ -47,9 +47,9 @@ from .laurent import (
 )
 # clear_caches is re-exported: the CLI and the benchmark call it from here
 from .partitions import (
-    MEMOS, cached, check_composition, check_indices, clear_caches,
-    conjugate, nonzero_length, partition_count, partitions_of,
-    sort_to_partition, strip_removals, sub_compositions, weight,
+    MEMOS, _partitions_of, cached, check_composition, check_degree,
+    check_indices, clear_caches, conjugate, nonzero_length, partition_count,
+    partitions_of, sort_to_partition, strip_removals, sub_compositions, weight,
 )
 from .schur import (
     _classical_mn, _omt_pow, _power_sum_terms, centralizer_order,
@@ -238,7 +238,7 @@ def _sn_numerator(tail, nu, z, fact):
     """Integer numerator over fact = |tail|! of the power-sum term
     p_nu / z paired with the classical characters of tail."""
     numer = 0
-    for rho in partitions_of(weight(tail) - weight(nu)):
+    for rho in _partitions_of(weight(tail) - weight(nu)):
         # valid indices by construction: nu and rho make a partition of
         # |tail|
         chi = _classical_mn(tail, sort_to_partition(nu + rho))
@@ -519,8 +519,6 @@ def char_table(n, algorithm="auto"):
     whose values fill the table; about half of them are read through the
     duality.
     """
-    if type(n) is not int or n < 0:
-        raise ValueError(f"n must be a non-negative int, not {n!r}")
     tag = resolve_algorithm(algorithm)
     route = ALGORITHMS[tag]
     table = CharTable(n=n)
@@ -597,9 +595,7 @@ def document_to_table(doc):
         raise ValueError(f"unsupported format_version {version!r}")
     if doc.get("variable") != "q":
         raise ValueError(f"unexpected variable {doc.get('variable')!r}")
-    n = doc.get("n")
-    if type(n) is not int or n < 0:
-        raise ValueError(f"bad degree n={n!r}")
+    n = check_degree(doc.get("n"))
     entries = doc.get("entries")
     # p(n) >= n, so n * n bounds the recurrence's work by the entry count
     if not isinstance(entries, list) or n * n > len(entries) or \
@@ -653,6 +649,8 @@ def _table_chunks(table):
     entry list is never empty.  Each partition's list is formatted once
     and each tag escaped once, by ``json.dumps`` itself.
     """
+    if not isinstance(table, CharTable):
+        raise ValueError(f"not a CharTable: {type(table).__name__}")
     parts = partitions_of(table.n)
     lists = {p: _int_list_text(p) for p in parts}
     tags = {}

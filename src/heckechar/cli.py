@@ -151,8 +151,6 @@ def _cmd_verify(args):
 
 
 def _cmd_bench(args):
-    if args.n < 0:
-        raise ValueError("n must be non-negative")
     if args.repetitions < 1:
         raise ValueError("repetitions must be at least 1")
     algorithms = [a.strip() for a in args.algorithms.split(",") if a.strip()]

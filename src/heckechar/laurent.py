@@ -16,6 +16,7 @@ No floating point appears anywhere.
 from __future__ import annotations
 
 import struct
+from collections.abc import Mapping
 from math import gcd
 
 
@@ -37,17 +38,21 @@ class LaurentPoly:
 
     Terms live in a dict ``{exponent: coefficient}`` with no stored zero
     coefficients; the zero polynomial has an empty map.  Instances are
-    treated as immutable: every operation returns a new object.
+    treated as immutable: every operation returns a new object.  The
+    constructor takes int exponents and coefficients only (not bools).
     """
 
     __slots__ = ("terms",)
 
-    def __init__(self, terms=None):
+    def __init__(self, terms):
+        if not isinstance(terms, Mapping):
+            raise ValueError(f"not a mapping of terms: {terms!r}")
         cleaned = {}
-        if terms:
-            for e, c in terms.items():
-                if c:
-                    cleaned[e] = c
+        for e, c in terms.items():
+            if type(e) is not int or type(c) is not int:
+                raise ValueError(f"not an int term: {e!r}: {c!r}")
+            if c:
+                cleaned[e] = c
         self.terms = cleaned
 
     @classmethod
@@ -340,7 +345,8 @@ def _divmod_honest(a, b):
     Stops as soon as a leading coefficient fails to divide, so the
     returned remainder is nonzero exactly when a/b is not an integer
     polynomial with this leading sequence -- sufficient for exactness
-    checks and for gcd pseudo-division support.
+    checks and for gcd pseudo-division support.  Neither part holds a
+    zero coefficient: a has none, and the loop pops each.
     """
     q = {}
     rem = dict(a.terms)
@@ -362,7 +368,7 @@ def _divmod_honest(a, b):
                 rem[ee] = s
             else:
                 rem.pop(ee, None)
-    return LaurentPoly._raw(q), LaurentPoly(rem)
+    return LaurentPoly._raw(q), LaurentPoly._raw(rem)
 
 
 def _primitive(p):

@@ -61,6 +61,13 @@ def check_partition(parts):
     return parts
 
 
+def check_degree(n):
+    """``n``; ValueError unless it is an int >= 0 (a bool is not)."""
+    if type(n) is not int or n < 0:
+        raise ValueError(f"not a degree: {n!r}")
+    return n
+
+
 def check_composition(parts):
     """``parts`` as a tuple; ValueError unless every part is an int >= 0
     (a bool is not a part)."""
@@ -103,6 +110,8 @@ def nonzero_length(parts):
 
 
 def _parse_parts(text, kind):
+    if type(text) is not str:
+        raise ValueError(f"cannot parse {kind} from {text!r}: not a str")
     text = text.strip()
     if text == "-" or text == "":
         return ()
@@ -122,12 +131,13 @@ def parse_composition(text):
 
 
 def format_partition(parts):
-    trimmed = tuple(p for p in parts if p)
+    trimmed = tuple(p for p in check_composition(parts) if p)
     return ",".join(str(p) for p in trimmed) if trimmed else "-"
 
 
 def conjugate(lam):
     """Reflect the diagram along the diagonal."""
+    lam = check_partition(lam)
     if not lam:
         return ()
     return tuple(sum(1 for p in lam if p > j) for j in range(lam[0]))
@@ -163,12 +173,13 @@ def sub_compositions(mu, k):
     return out
 
 
-@cached
 def partitions_of(n):
     """All partitions of n in reverse-lexicographic order, as a tuple."""
-    if n < 0:
-        return ()
+    return _partitions_of(check_degree(n))
 
+
+@cached
+def _partitions_of(n):
     def rec(rem, maxp):
         if rem == 0:
             yield ()
@@ -196,7 +207,7 @@ def partition_count(n):
 
 def partition_tuples(nu):
     """Stream all tuples (rho_1, ..., rho_r) with rho_i a partition of nu_i."""
-    return itertools.product(*(partitions_of(k) for k in nu))
+    return itertools.product(*(_partitions_of(k) for k in nu))
 
 
 def subpartitions_of_weight(lam, w):
@@ -225,11 +236,8 @@ def subpartitions_of_weight(lam, w):
 def strip_removals(lam, k):
     """Every broken k-strip lam/nu as ``(nu, m, j)``: m is its number of
     connected components and j the sum over them of rows - 1, all that
-    the strip weights depend on (the cols - 1 sum to k - m - j).  The nu
-    run in reverse-lexicographic order; ValueError unless lam is a
-    partition and k an int.  The check runs on every call, before the
-    memo is read, so an argument that only equals a memoised key (True
-    for 1, a list for a tuple) is checked as itself."""
+    the strip weights depend on (the cols - 1 sum to k - m - j), with nu
+    in reverse-lexicographic order; lam is a partition and k an int."""
     lam = check_partition(lam)
     if type(k) is not int:
         raise ValueError(f"not a strip size: {k!r}")

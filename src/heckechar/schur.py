@@ -3,17 +3,17 @@
 A Schur vector is a plain dict mapping partitions of one common weight to
 their nonzero LaurentPoly coefficients.  Removing one part of the lower
 indexing partition at a time ("peeling") expands the dual one-row operator
-on such vectors.  One loop (``_peel``) does the expansion; three
-interchangeable strategies differ only in the (partition, weight) terms one
-partition expands into:
+on such vectors.  One loop (``_peel(k, vec, terms)``) does the expansion;
+three interchangeable strategies, the term generators of ``_PEELERS``,
+differ only in the (partition, weight) terms one partition expands into:
 
-* ``peel_iterative`` -- sum over the compositions into the available
-  slots that survive straightening, generated slot by slot, with
+* ``iterative`` -- sum over the compositions into the available slots
+  that survive straightening, generated slot by slot, with
   ``straighten`` giving each one's sign and partition;
-* ``peel_det``       -- determinant expansion over all contained
+* ``det``       -- determinant expansion over all contained
   subpartitions of the right coweight, each determinant the product of
   the Bareiss determinants of the peel matrix's diagonal blocks;
-* ``peel_strips``    -- combinatorial expansion over broken border strips.
+* ``strips``    -- combinatorial expansion over broken border strips.
 
 All three produce identical vectors; the pairing polynomial read off the
 empty partition after a full peel is checked against an independent
@@ -33,7 +33,7 @@ from math import comb, factorial, prod
 
 from .laurent import ZERO, ONE, T, LaurentPoly, RationalFn, monomial
 from .partitions import (
-    MEMOS, cached, check_indices, partition_tuples,
+    MEMOS, cached, check_degree, check_indices, partition_tuples,
     sort_to_partition, strip_removals, subpartitions_of_weight, weight,
 )
 
@@ -139,23 +139,15 @@ def _surviving_drops(lam, k):
 
 
 def _iterative_terms(lam, k):
+    """Expand by summing over the ways to lower the parts by a total of k
+    that survive straightening (``_surviving_drops``).  ``straighten``
+    gives each survivor's sign and partition; a slot that drops at all
+    contributes one factor (1 - t)."""
     l = len(lam)
     for tau in _surviving_drops(lam, k):
         sign, mu = straighten(tuple(lam[i] - tau[i] for i in range(l)))
         w = _omt_pow(sum(1 for x in tau if x))
         yield mu, (-w if sign < 0 else w)
-
-
-def peel_iterative(k, vec):
-    """Expand by summing over the ways to lower the parts by a total of k.
-
-    Only the drops that survive straightening are generated
-    (``_surviving_drops``): a slot stops dropping before its shifted
-    index goes negative and skips a shifted index that an earlier slot
-    holds.  ``straighten`` gives each survivor's sign and partition; a
-    slot that drops at all contributes one factor (1 - t).
-    """
-    return _peel(k, vec, _iterative_terms)
 
 
 def _strip_matrix(lam, mu_padded):
@@ -244,46 +236,38 @@ def _scaled_det(lam, mu):
 
 
 def _det_terms(lam, k):
+    """Expand through determinants of the peel matrix.
+
+    The (1-t)^l prefactor cancels the cleared row denominators exactly,
+    so every coefficient stays an honest polynomial.
+    """
     for mu in subpartitions_of_weight(lam, weight(lam) - k):
         d = _scaled_det(lam, mu)
         if not d.is_zero():
             yield mu, d
 
 
-def peel_det(k, vec):
-    """Expand through determinants of the peel matrix.
-
-    The (1-t)^l prefactor cancels the cleared row denominators exactly,
-    so every coefficient stays an honest polynomial.
-    """
-    return _peel(k, vec, _det_terms)
-
-
 def _strip_terms(lam, k):
+    """Expand over broken border strips: each removal of a k-broken border
+    strip with components xi_1..xi_m contributes
+    (1-t)^m * prod (-t)^(rows(xi_i) - 1)."""
     for mu, m, j in strip_removals(lam, k):
         yield mu, _omt_pow(m) * _neg_t_pow(j)
 
 
-def peel_strips(k, vec):
-    """Expand over broken border strips: each removal of a k-broken border
-    strip with components xi_1..xi_m contributes
-    (1-t)^m * prod (-t)^(rows(xi_i) - 1)."""
-    return _peel(k, vec, _strip_terms)
-
-
 _PEELERS = {
-    "iterative": peel_iterative,
-    "det": peel_det,
-    "strips": peel_strips,
+    "iterative": _iterative_terms,
+    "det": _det_terms,
+    "strips": _strip_terms,
 }
 
 
 @cached
 def _pairing_cached(lam, mu, strategy):
-    peel = _PEELERS[strategy]
+    terms = _PEELERS[strategy]
     vec = {lam: ONE}
     for k in mu:
-        vec = peel(k, vec)
+        vec = _peel(k, vec, terms)
         if not vec:
             return ZERO
     return vec.get((), ZERO)
@@ -382,10 +366,8 @@ def _oracle_cached(lam, mu):
     per factor, weighted by the reciprocal deformed centralizer order),
     pairs with the Schur function via classical characters, sums the
     integer numerators over the denominator prod_j mu_j! and ends with
-    one exact division.  The classical characters come from the beta-set
-    rule of ``_classical_mn``, so the oracle shares only
-    ``partitions_of``, ``partition_tuples`` and ``sort_to_partition`` with
-    the peeling code and the strip routes.
+    one exact division; the classical characters come from
+    ``_classical_mn`` (see the module docstring).
     """
     # z_{rho_j} divides mu_j!, because mu_j! / z_{rho_j} is the size of
     # the conjugacy class of S_{mu_j} of cycle type rho_j; so every term
@@ -405,12 +387,9 @@ def newton_coeffs(m):
 
     Returns a dict mapping each partition of m to a RationalFn in t.
     Treat the result as read-only (it is cached).  ValueError unless m
-    is a non-negative int; the check runs on every call, before the memo
-    is read, so True is not taken for 1.
+    is a non-negative int.
     """
-    if type(m) is not int or m < 0:
-        raise ValueError(f"m must be a non-negative int, not {m!r}")
-    return _newton_coeffs(m)
+    return _newton_coeffs(check_degree(m))
 
 
 @cached

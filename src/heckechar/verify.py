@@ -10,6 +10,8 @@ so this module is the one place the identities are written down.
 
 from __future__ import annotations
 
+from math import factorial, prod
+
 from .laurent import ZERO, ONE, T, LaurentPoly, RationalFn, monomial
 from .partitions import conjugate, partitions_of, strip_removals
 from .schur import (
@@ -20,7 +22,7 @@ from .characters import (
     two_row_weights,
 )
 from .applications import (
-    bitrace, bracket_identity_check, supercharacter_hooks,
+    bitrace, entry_weight, supercharacter_hooks,
     supercharacter_hooks_explicit, supercharacter_two_rows,
     supercharacter_two_rows_explicit,
 )
@@ -34,15 +36,10 @@ def _fail(failures, **info):
 
 
 def _paper_newton_values():
-    t = T
-    one = ONE
-
     def rat(num, *dens):
-        den = one
-        for d in dens:
-            den = den * d
-        return RationalFn(num, den)
+        return RationalFn(num, prod(dens, start=ONE))
 
+    t, one = T, ONE
     t2 = monomial(1, 2) - one
     t3 = monomial(1, 3) - one
     t4 = monomial(1, 4) - one
@@ -139,9 +136,7 @@ def check_identities(n_max=5):
             b = two_row_weights(mu)
             if a[0] != ONE or b[0] != ONE:
                 _fail(failures, check="leading_weight", mu=mu)
-            total = ZERO
-            for i, ai in enumerate(a):
-                total = total + ai.shift(i)
+            total = sum((ai.shift(i) for i, ai in enumerate(a)), ZERO)
             if not total.is_zero():
                 _fail(failures, check="hook_weight_sum", mu=mu,
                       got=total.format("t"))
@@ -173,8 +168,12 @@ def check_identities(n_max=5):
                     if lhs != rhs:
                         _fail(failures, check="strip_weight_consistency",
                               lam=lam, mu=mu)
+    # the inductive identity defining the entry weights:
+    # 1 - t + (t-1) * sum_i (k-i)_t t^i equals (k)_t
     for k in range(1, 11):
-        if not bracket_identity_check(k):
+        acc = sum((entry_weight(k - i).shift(i) for i in range(1, k + 1)),
+                  ZERO)
+        if ONE - T + (T - ONE) * acc != entry_weight(k):
             _fail(failures, check="bracket_identity", k=k)
     return failures
 
@@ -271,11 +270,34 @@ def check_classical_orthogonality(n_max=5):
     return failures
 
 
+def check_special_columns(n_max=5):
+    """Two columns in closed form, on the default route: at 1^n every
+    character is f^lam, the hook-length count (T_1 is the identity); at
+    (n) it is (-1)^k q^(n-1-k) on the hook (n-k, 1^k) and 0 elsewhere."""
+    failures = []
+    for n in range(1, n_max + 1):
+        for lam in partitions_of(n):
+            conj, k = conjugate(lam), len(lam) - 1
+            hooks = prod(p - j + conj[j] - i - 1
+                         for i, p in enumerate(lam) for j in range(p))
+            coxeter = monomial(-1 if k % 2 else 1, n - 1 - k) \
+                if lam == (n - k,) + (1,) * k else ZERO
+            f = LaurentPoly.const(factorial(n) // hooks)
+            for mu, expected in (((1,) * n, f),
+                                 ((n,), coxeter)):
+                got = character(lam, mu)
+                if got != expected:
+                    _fail(failures, check="special_column", lam=lam, mu=mu,
+                          got=got.format("q"), expected=expected.format("q"))
+    return failures
+
+
 def suite_classical(n_max=5):
-    """One-row/one-column laws, the q = 1 specialization and the column
-    orthogonality of the classical characters."""
+    """One-row/one-column laws, the q = 1 specialization, the classical
+    column orthogonality and the columns 1^n and (n) in closed form."""
     return (check_row_column_laws(n_max) + check_q1(n_max)
-            + check_classical_orthogonality(n_max))
+            + check_classical_orthogonality(n_max)
+            + check_special_columns(n_max))
 
 
 def check_supercharacters(n_max=5):

@@ -35,8 +35,9 @@ def test_criterion_1_golden_paper_values():
 
 
 def test_criterion_2_closed_form_laws():
-    _gate(2, "one-row and one-column laws, n <= 8",
-          verify.check_row_column_laws)
+    _gate(2, "one-row and one-column laws, columns 1^n and (n), n <= 8",
+          lambda n: (verify.check_row_column_laws(n)
+                     + verify.check_special_columns(n)))
 
 
 def test_criterion_3_cross_algorithm_agreement():
@@ -125,6 +126,24 @@ def test_classical_orthogonality_names_a_broken_value(monkeypatch):
     assert {(tuple(f["rho"]), tuple(f["sigma"])) for f in failures} == \
         {((3,), (1, 1, 1)), ((1, 1, 1), (1, 1, 1))}
     assert all(f["check"] == "classical_orthogonality" for f in failures)
+
+
+def test_special_columns_name_a_broken_value(monkeypatch):
+    # negative control: one wrong value of the mn route at 1^4 and one at
+    # (4), each on a shape where the closed form is plain to see
+    mn = ALGORITHMS["mn"]
+    broken_at = {((2, 2), (1, 1, 1, 1)), ((3, 1), (4,))}
+
+    def broken(lam, mu):
+        value = mn(lam, mu)
+        return value + ONE if (lam, mu) in broken_at else value
+
+    monkeypatch.setitem(ALGORITHMS, "mn", broken)
+    failures = verify.check_special_columns(4)
+    assert all(f["check"] == "special_column" for f in failures)
+    assert [(tuple(f["lam"]), tuple(f["mu"]), f["expected"])
+            for f in failures] == [((3, 1), (4,), "-q^2"),
+                                   ((2, 2), (1, 1, 1, 1), "2")]
 
 
 def test_strip_counts_name_a_miscounted_strip(monkeypatch):

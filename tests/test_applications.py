@@ -10,10 +10,9 @@ from heckechar.partitions import (
 from heckechar.schur import centralizer_order
 from heckechar.characters import character, two_row_cumulative
 from heckechar.applications import (
-    bitrace, bitrace_via_gram, bracket_identity_check, entry_weight,
-    gram_pairing, neg_q_bracket, supercharacter_hooks,
-    supercharacter_hooks_explicit, supercharacter_two_rows,
-    supercharacter_two_rows_explicit,
+    bitrace, bitrace_via_gram, entry_weight, gram_pairing, neg_q_bracket,
+    supercharacter_hooks, supercharacter_hooks_explicit,
+    supercharacter_two_rows, supercharacter_two_rows_explicit,
 )
 from oracles import (
     deformed_centralizer, matrix_product_sum, standard_tableaux_count,
@@ -25,13 +24,6 @@ def test_entry_weight_conventions():
     assert entry_weight(-3) == ZERO
     assert entry_weight(1) == (T - ONE) ** 2
     assert entry_weight(2) == (T - ONE) ** 2 * (T * T + ONE)
-
-
-def test_bracket_identity():
-    for k in range(1, 11):
-        assert bracket_identity_check(k)
-    with pytest.raises(ValueError):
-        bracket_identity_check(0)
 
 
 def test_hook_supercharacter_values():

@@ -14,7 +14,7 @@ from heckechar.laurent import (
 )
 from heckechar.partitions import format_partition, partitions_of, strip_removals
 from heckechar.schur import classical_character, pairing_polynomial
-from heckechar import characters
+from heckechar import characters, partitions
 from heckechar.characters import (
     ALGORITHMS, ALGORITHM_NAMES, CharTable, char_table, character,
     document_to_table, dumps_table, entry_document, hook_weights,
@@ -735,10 +735,10 @@ def test_loads_table_checks_the_count_before_enumerating():
         loads_table("[]")
     doc = json.loads(dumps_table(char_table(3)))
     doc["n"], doc["entries"] = 60, doc["entries"][:1]
-    before = partitions_of.cache_info()
+    before = partitions._partitions_of.cache_info()
     with pytest.raises(ValueError):
         loads_table(json.dumps(doc))
-    after = partitions_of.cache_info()
+    after = partitions._partitions_of.cache_info()
     assert (after.hits, after.misses) == (before.hits, before.misses)
 
 

@@ -1,0 +1,100 @@
+"""The public boundary: ``heckechar.__all__`` holds the documented API,
+and every callable in it raises ValueError for malformed input, also
+right after a good call has filled its memos."""
+
+import heckechar
+
+PUBLIC = sorted("""
+    ALGORITHM_NAMES ExactnessError LaurentPoly bitrace bitrace_via_gram
+    char_table character classical_character clear_caches conjugate
+    dumps_table format_partition hook_weights load_table loads_table
+    newton_coeffs pairing_polynomial parse_composition parse_partition
+    partitions_of save_table strip_removals supercharacter_hooks
+    supercharacter_hooks_explicit supercharacter_two_rows
+    supercharacter_two_rows_explicit two_row_cumulative two_row_weights
+""".split())
+
+# malformed values of each kind of argument; a file path is not varied,
+# it keeps the operating system's own errors
+BAD = {
+    "partition": [True, 1.0, None, "3", (2, 3), (1.0,), (True,), (0,),
+                  (-1,), [[1]]],
+    "composition": [True, 1.0, None, "3", (1.0,), (True, 2), (-1,),
+                    ((1,),)],
+    "degree": [True, 1.0, None, "3", -1],
+    "strip size": [True, 1.0, None, "3"],
+    "terms": [None, True, 1.0, "3", [(0, 1)], {None: 1}, {1.0: 1},
+              {True: 1}, {0: 1.0}, {0: True}, {0: "1"}, {0: None}],
+    "text": [None, True, 1.0, 3, ("3",), "x", "1.0", "-1", "1,,2"],
+    "table": [None, True, 1.0, "3", {}, {"n": 1, "entries": {}}],
+    "name": [None, True, 1.0, "3", "MN", ("mn",)],
+}
+
+
+def _signatures(tmp_path):
+    """Each public callable's good arguments, each with its kind.  The
+    degrees are 1 where a memo is keyed on them, so True and 1.0 would
+    hit it if they got that far."""
+    table = heckechar.char_table(2)
+    path = str(tmp_path / "t2.json")
+    heckechar.save_table(table, path)
+    pair = [("composition", (2, 1)), ("composition", (1, 2))]
+    index = [("partition", (2, 1)), ("composition", (1, 2))]
+    return {
+        "LaurentPoly": [("terms", {0: 1, -1: 2})],
+        "bitrace": pair + [("name", "char_sum")],
+        "bitrace_via_gram": pair,
+        "char_table": [("degree", 1), ("name", "strips")],
+        "character": index + [("name", "mn")],
+        "classical_character": index,
+        "clear_caches": [],
+        "conjugate": [("partition", (2, 1))],
+        "dumps_table": [("table", table)],
+        "format_partition": [("composition", (2, 0, 1))],
+        "hook_weights": [("composition", (1, 2))],
+        "load_table": [("path", path)],
+        "loads_table": [("text", heckechar.dumps_table(table))],
+        "newton_coeffs": [("degree", 1)],
+        "pairing_polynomial": index + [("name", "det")],
+        "parse_composition": [("text", "1,0,2")],
+        "parse_partition": [("text", "2,1")],
+        "partitions_of": [("degree", 1)],
+        "save_table": [("table", table), ("path", path)],
+        "strip_removals": [("partition", (2, 1)), ("strip size", 1)],
+        "supercharacter_hooks": [("composition", (1, 2))],
+        "supercharacter_hooks_explicit": [("composition", (1, 2))],
+        "supercharacter_two_rows": [("composition", (1, 2))],
+        "supercharacter_two_rows_explicit": [("composition", (1, 2))],
+        "two_row_cumulative": [("composition", (1, 2))],
+        "two_row_weights": [("composition", (1, 2))],
+    }
+
+
+def test_all_is_the_documented_boundary():
+    assert sorted(heckechar.__all__) == PUBLIC
+    namespace = {}
+    exec("from heckechar import *", namespace)
+    assert sorted(set(namespace) - {"__builtins__"}) == PUBLIC
+
+
+def test_every_public_callable_rejects_malformed_input(tmp_path):
+    signatures = _signatures(tmp_path)
+    assert sorted(signatures) == [
+        name for name in PUBLIC
+        if callable(getattr(heckechar, name)) and name != "ExactnessError"]
+    wrong = []
+    for name, params in signatures.items():
+        fn = getattr(heckechar, name)
+        good = [value for _, value in params]
+        fn(*good)
+        for i, (kind, _) in enumerate(params):
+            for bad in BAD.get(kind, ()):
+                args = good[:i] + [bad] + good[i + 1:]
+                try:
+                    got = fn(*args)
+                except ValueError:
+                    continue
+                except Exception as exc:  # the wrong error is a failure too
+                    got = exc
+                wrong.append(f"{name}{tuple(args)!r} -> {got!r}")
+    assert not wrong, "\n".join(wrong)

@@ -13,7 +13,7 @@ from heckechar.partitions import (
 from heckechar.schur import (
     _oracle_cached, _scaled_det, _strip_matrix, centralizer_order,
     centralizer_poly_factors, classical_character, newton_coeffs,
-    pairing_polynomial, peel_det, peel_iterative, peel_strips, straighten,
+    pairing_polynomial, straighten,
 )
 from oracles import (
     compositions_of, deformed_centralizer, exchange_straighten,
@@ -22,6 +22,15 @@ from oracles import (
 )
 
 OMT = ONE - T
+
+
+def _peeler(strategy):
+    # one peel step of a strategy: schur._peel over its term generator
+    return lambda k, vec: schur._peel(k, vec, schur._PEELERS[strategy])
+
+
+peel_iterative, peel_det, peel_strips = map(
+    _peeler, ("iterative", "det", "strips"))
 
 
 def test_straighten_examples():
