@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from heckechar import applications
+from heckechar import applications, verify
 from heckechar.laurent import ONE, T, ZERO, LaurentPoly, RationalFn, monomial
 from heckechar.partitions import (
     contingency_matrices, partition_tuples, partitions_of,
@@ -24,6 +24,16 @@ def test_entry_weight_conventions():
     assert entry_weight(-3) == ZERO
     assert entry_weight(1) == (T - ONE) ** 2
     assert entry_weight(2) == (T - ONE) ** 2 * (T * T + ONE)
+
+
+def test_bracket_identity():
+    # 1 - t + (t-1) * sum_i (k-i)_t t^i == (k)_t for the entry weights,
+    # checked here and by the identity suite that verify runs
+    for k in range(1, 11):
+        acc = sum((entry_weight(k - i).shift(i) for i in range(1, k + 1)),
+                  ZERO)
+        assert ONE - T + (T - ONE) * acc == entry_weight(k)
+    assert verify.check_identities(n_max=3) == []
 
 
 def test_hook_supercharacter_values():
