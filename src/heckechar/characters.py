@@ -5,10 +5,9 @@ Public entry point is :func:`character`, which runs one of:
 
 * the q-deformed Murnaghan-Nakayama recursion over broken border strips
   (``mn``, also what ``auto`` means for every shape); it evaluates at
-  q = 2^64, one int per value with a bound on its L1 norm, and reads the
-  coefficients back as balanced base-2^64 digits; a value whose bound
-  reaches 2^63 (at mu = 1^n the bound is the number of standard
-  tableaux) is summed once more at the wider digits the bound needs;
+  q = 2^bits, one int per value, and reads the coefficients back as
+  balanced base-2^bits digits, bits fixed before the sum by the L1 bound
+  f^lam * 2^(n - len(mu)), f^lam the number of standard tableaux;
 * closed forms for one-row, one-column, hook and two-row shapes, driven
   by two weight sequences obtained from small generating-function
   products; each is an explicit route only, chosen by its name;
@@ -18,8 +17,8 @@ Public entry point is :func:`character`, which runs one of:
 * two general reduction formulas ("gen_sn" reduces to symmetric-group
   characters of lower degree, "gen_newton" to Hecke characters of lower
   degree via the Newton transition coefficients); each sums its terms
-  packed in the same way, with digits as wide as the bound needs, reads
-  the sum back once and ends in one exact division.
+  packed in the same way, its bound times its divisor's L1 norm fixing
+  bits, and ends in one exact division.
 
 All routes return the identical polynomial; the value depends only on
 the multiset of parts of the lower index, which is sorted on entry.
@@ -73,16 +72,29 @@ def _omtinv_pow(j):
     return ONE_MINUS_TINV ** j
 
 
-def _read_packed(total, *args):
-    """The polynomial a packed sum holds: ``total(*args, bits)`` is the
-    sum at q = 2^bits and a bound on its L1 norm, which does not depend
-    on bits.  Summed at 64 bits, and once more at the width the bound
-    needs when that is wider."""
-    v, norm = total(*args, 64)
-    bits = digit_bits(norm)
-    if bits > 64:
-        v = total(*args, bits)[0]
-    return unpack(v, norm, bits)
+def _read_packed(total, bound, *args):
+    """The polynomial ``total(*args, bits)`` holds at q = 2^bits, summed
+    once at the narrowest digits that hold ``bound`` on every coefficient."""
+    bits = digit_bits(bound)
+    return unpack(total(*args, bits), bound, bits)
+
+
+@cached
+def _tableaux_count(lam):
+    """f^lam by the hook-length formula: with l_i the first column's
+    hooks, the hooks of lam multiply to prod l_i! / prod_{i<j} (l_i - l_j)."""
+    ls = [p + len(lam) - 1 - i for i, p in enumerate(lam)]
+    return factorial(weight(lam)) * prod(x - y for i, x in enumerate(ls)
+                                         for y in ls[i + 1:]) // \
+        prod(map(factorial, ls))
+
+
+def _chi_bound(lam, mu):
+    """f^lam * 2^(n - len(mu)) bounds chi^lam_mu's L1 norm: filling each
+    strip of a chain in reading order makes a distinct standard tableau,
+    so at most f^lam chains of broken strips, and a strip of mu_i boxes
+    has m <= mu_i components, a weight of L1 norm 2^(m-1)."""
+    return _tableaux_count(lam) << (weight(mu) - len(mu))
 
 
 def normalize_g_to_chi(g, n, l_mu):
@@ -174,44 +186,39 @@ def _packed_weight(k, m, j, bits):
 
 @cached
 def _mn_strips(lam, k, bits):
-    """(nu, packed weight, 2^(m-1)) for each broken k-strip lam/nu; the
-    last is the L1 norm of the weight."""
-    return tuple((nu, _packed_weight(k, m, j, bits), 1 << (m - 1))
+    """(nu, packed weight) for each broken k-strip lam/nu."""
+    return tuple((nu, _packed_weight(k, m, j, bits))
                  for nu, m, j in strip_removals(lam, k))
 
 
 @cached
 def _mn_cached(lam, mu, bits):
-    """(chi(Q), L) at Q = 2^bits: the character packed, and a bound on its
-    L1 norm, the sum over strips of 2^(m-1) * L(sub)."""
+    """chi(Q) at Q = 2^bits, the character packed: the sum over strips
+    of the packed weight times the packed smaller character."""
     if not mu:
-        return (0, 0) if lam else (1, 1)
+        return 0 if lam else 1
     rest = mu[1:]
-    v = norm = 0
-    for nu, w, w_norm in _mn_strips(lam, mu[0], bits):
-        sub, sub_norm = _mn_cached(nu, rest, bits)
+    v = 0
+    for nu, w in _mn_strips(lam, mu[0], bits):
+        sub = _mn_cached(nu, rest, bits)
         if sub:
             v += w * sub
-            norm += w_norm * sub_norm
-    return v, norm
+    return v
 
 
 def _mn_value(lam, mu):
     """Character by removing a broken border strip for each part of mu,
     largest part first: the packed sum read back."""
-    return _read_packed(_mn_cached, lam, mu)
+    return _read_packed(_mn_cached, _chi_bound(lam, mu), lam, mu)
 
 
 # -- general reduction formulas -----------------------------------------
 #
 # Both reductions sum their terms as ints, the polynomials evaluated at
-# q = 2^bits (each shifted to non-negative exponents) with a bound on the
-# L1 norm beside them, read the sum back once through _read_packed and
-# end in one exact division.  Every packed constant and inner sum is
-# memoised per width, bits the last key.
-
-def _l1(poly):
-    return sum(map(abs, poly.terms.values()))
+# q = 2^bits (each shifted to non-negative exponents), read the sum back
+# once through _read_packed and end in one exact division.  The sum is
+# chi times the divisor, so _chi_bound times the divisor's L1 norm fixes
+# bits.  Every packed constant and inner sum is memoised per width.
 
 
 @cached
@@ -251,44 +258,40 @@ def _sn_numerator(tail, nu, z, fact):
 @cached
 def _packed_base(i, j, bits):
     # (1 - 1/t)^j * t^i at 2^bits: j = nz(tau) <= |tau| = i, so no
-    # exponent is negative; its L1 norm is 2^j
+    # exponent is negative
     return pack(_omtinv_pow(j).shift(i), bits)
 
 
 @cached
 def _packed_cpf(nu, bits):
-    c = centralizer_poly_factors(nu)
-    return pack(c, bits), _l1(c)
+    return pack(centralizer_poly_factors(nu), bits)
 
 
 @cached
 def _sn_inner(tail, rem, bits):
     """The sum over the power-sum terms of prod_j h_rem_j of
-    centralizer_poly_factors(nu) * numerator, packed, and its bound.
+    centralizer_poly_factors(nu) * numerator, packed.
     (tail, rem) fixes everything the sum reads: rho runs over the
     partitions of |tail| - |rem|, the denominator is |tail|!, and the
     product of h's does not depend on the order of rem's parts."""
     fact = factorial(weight(tail))
-    v = norm = 0
+    v = 0
     for nu, z in _power_sum_terms(rem):
         numer = _sn_numerator(tail, nu, z, fact)
         if numer:
-            c, c_norm = _packed_cpf(nu, bits)
-            v += c * numer
-            norm += c_norm * abs(numer)
-    return v, norm
+            v += _packed_cpf(nu, bits) * numer
+    return v
 
 
 def _sn_sum(lam, mu, bits):
-    """The numerator _via_sn divides, packed, and its bound."""
+    """The numerator _via_sn divides, packed."""
     tail = lam[1:]
-    v = norm = 0
+    v = 0
     for i, rem, j, count in _first_row_terms(lam, mu):
-        inner, inner_norm = _sn_inner(tail, rem, bits)
-        if inner_norm:
+        inner = _sn_inner(tail, rem, bits)
+        if inner:
             v += _packed_base(i, j, bits) * inner * count
-            norm += (inner_norm << j) * count
-    return v, norm
+    return v
 
 
 def _via_sn(lam, mu):
@@ -300,23 +303,24 @@ def _via_sn(lam, mu):
     the n_j! divides (n - lam_1)!.  So integer numerators are summed
     over that one denominator and a single exact division ends the sum.
     """
-    return _read_packed(_sn_sum, lam, mu).divexact(
-        _qm1_pow(len(mu)) * factorial(weight(lam) - lam[0]))
+    fact = factorial(weight(lam) - lam[0])
+    return _read_packed(_sn_sum, (_chi_bound(lam, mu) << len(mu)) * fact,
+                        lam, mu).divexact(_qm1_pow(len(mu)) * fact)
 
 
 @cached
-def _newton_scaled(top, bits):
+def _newton_scaled(top):
     """P(1/t), deg P and, for each m <= top, the coefficients
     C = newton_coeffs(m) * P at 1/t * (t-1)^len(rho), each as
-    (rho, pack(C * t^deg P, bits), ||C||_1), where
-    P = prod_{k <= top} (t^k - 1): C's exponents are at least -deg P."""
+    (rho, C * t^deg P), where P = prod_{k <= top} (t^k - 1): C's
+    exponents are at least -deg P."""
     p = prod((monomial(1, k) - ONE for k in range(1, top + 1)), start=ONE)
     deg = top * (top + 1) // 2
 
     def term(rho, c):
         c = (c.num * p).divexact(c.den).invert_variable() * \
             _qm1_pow(len(rho))
-        return rho, pack(c.shift(deg), bits), _l1(c)
+        return rho, c.shift(deg)
 
     return p.invert_variable(), deg, [
         tuple(term(rho, c) for rho, c in newton_coeffs(m).items())
@@ -325,68 +329,59 @@ def _newton_scaled(top, bits):
 
 @cached
 def _packed_newton_weight(j, r, l, bits):
-    # (1 - 1/t)^j * (t-1)^r * t^l at 2^bits and its L1 norm; j = nz(tau)
-    # <= l = len(mu), so no exponent is negative
-    w = _omtinv_pow(j) * _qm1_pow(r)
-    return pack(w.shift(l), bits), _l1(w)
+    # (1 - 1/t)^j * (t-1)^r * t^l at 2^bits; j = nz(tau) <= l = len(mu),
+    # so no exponent is negative
+    return pack((_omtinv_pow(j) * _qm1_pow(r)).shift(l), bits)
 
 
 @cached
 def _newton_inner(tail, rem, bits):
-    """The sum over rho of C_rho * chi^tail_(rem + rho), packed, and its
-    bound, with the C of _newton_scaled(|tail|): (tail, rem) fixes rho's
-    degree |tail| - |rem| and the offset deg P of the packed C."""
-    scaled = _newton_scaled(weight(tail), bits)[2]
-    v = norm = 0
-    for rho, c, c_norm in scaled[weight(tail) - weight(rem)]:
-        _, sub, sub_norm = _via_newton_cached(
-            tail, sort_to_partition(rem + rho), bits)
-        v += c * sub
-        norm += c_norm * sub_norm
-    return v, norm
+    """The sum over rho of C_rho * chi^tail_(rem + rho), packed, with the
+    C of _newton_scaled(|tail|), of degree |tail| - |rem|."""
+    top = weight(tail)
+    v = 0
+    for rho, c in _newton_scaled(top)[2][top - weight(rem)]:
+        sub = _via_newton_cached(tail, sort_to_partition(rem + rho))
+        v += pack(c, bits) * pack(sub, bits)
+    return v
 
 
 def _newton_sum(lam, mu, bits):
-    """The numerator _via_newton_cached divides, packed, and its bound;
-    it carries t^(deg P + len(mu)) from the offsets."""
+    """The numerator _via_newton_cached divides, packed; it carries
+    t^(deg P + len(mu)) from the offsets."""
     tail = lam[1:]
     l = len(mu)
-    v = norm = 0
+    v = 0
     for _, rem, j, count in _first_row_terms(lam, mu):
-        inner, inner_norm = _newton_inner(tail, rem, bits)
-        if inner_norm:
-            w, w_norm = _packed_newton_weight(j, len(rem), l, bits)
-            v += w * inner * count
-            norm += w_norm * inner_norm * count
-    return v, norm
+        inner = _newton_inner(tail, rem, bits)
+        if inner:
+            v += _packed_newton_weight(j, len(rem), l, bits) * inner * count
+    return v
 
 
 @cached
-def _via_newton_cached(lam, mu, bits):
-    """(chi, chi(2^bits), ||chi||_1) by reduction to Hecke characters of
-    lower degree through the Newton transition coefficients; bottoms
-    out at the empty partition.
+def _via_newton_cached(lam, mu):
+    """Reduce to Hecke characters of lower degree through the Newton
+    transition coefficients; bottoms out at the empty partition.
 
     Every newton_coeffs(m) used here has m <= top = n - lam_1, so its
     denominators divide P = prod_{k <= top} (t^k - 1).  The sum runs over
     the coefficients times P, all at 1/t, grouped by mu - tau, and one
-    exact division by P(1/t) * (t-1)^len(mu) ends it.  The norm is
-    exact, since chi is known once divided."""
+    exact division by P(1/t) * (t-1)^len(mu), of L1 norm at most
+    2^(top + len(mu)), ends it.  Each caller packs chi at its own width."""
     if not lam:
-        return (ONE, 1, 1) if not mu else (ZERO, 0, 0)
-    l = len(mu)
-    # P and deg P do not depend on the width: read them where the 64-bit
-    # sum read its coefficients
-    den, deg, _ = _newton_scaled(weight(lam) - lam[0], 64)
-    acc = _read_packed(_newton_sum, lam, mu).shift(lam[0] - deg - l)
-    chi = acc.divexact(den * _qm1_pow(l))
-    return chi, pack(chi, bits), _l1(chi)
+        return ONE if not mu else ZERO
+    l, top = len(mu), weight(lam) - lam[0]
+    den, deg, _ = _newton_scaled(top)
+    bound = _chi_bound(lam, mu) << (top + l)
+    acc = _read_packed(_newton_sum, bound, lam, mu).shift(lam[0] - deg - l)
+    return acc.divexact(den * _qm1_pow(l))
 
 
 def _via_newton(lam, mu):
-    """Reduce to Hecke characters of lower degree through the Newton
-    transition coefficients: the value _via_newton_cached holds."""
-    return _via_newton_cached(lam, mu, 64)[0]
+    """The route: the value _via_newton_cached holds, under a name that
+    its recursion does not call through."""
+    return _via_newton_cached(lam, mu)
 
 
 # -- dispatch ------------------------------------------------------------
@@ -660,6 +655,8 @@ def _table_chunks(table):
     for lam in parts:
         for mu in parts:
             key = (lam, mu)
+            if key not in table.entries:
+                raise ValueError(f"the table has no entry at {key}")
             tag = table.provenance.get(key, "unknown")
             if tag not in tags:
                 tags[tag] = json.dumps(tag)

@@ -64,6 +64,8 @@ class LaurentPoly:
 
     @classmethod
     def const(cls, c):
+        if type(c) is not int:
+            raise ValueError(f"not an int constant: {c!r}")
         return cls._raw({0: c}) if c else cls._raw({})
 
     @classmethod

@@ -2,6 +2,7 @@ import functools
 import hashlib
 import importlib
 import json
+import math
 import pkgutil
 import re
 from concurrent.futures import ThreadPoolExecutor
@@ -380,16 +381,19 @@ def test_small_tables():
 
 
 def test_packed_strip_weights_are_the_strip_weights():
-    # the packed recursion multiplies by exactly the weight verify checks
+    # the packed recursion multiplies by exactly the weight verify checks,
+    # and each weight has the L1 norm 2^(m-1), m <= k, that the closed-form
+    # bound counts
     for n in range(1, 9):
         for lam in partitions_of(n):
             for k in range(1, n + 1):
                 packed = _mn_strips(lam, k, 64)
                 strips = strip_removals(lam, k)
-                assert [nu for nu, _, _ in packed] == [nu for nu, _, _ in strips]
-                for (_, w, norm), (_, m, j) in zip(packed, strips):
-                    assert w == pack(broken_strip_weight(k, m, j), 64)
-                    assert norm == 2 ** (m - 1)
+                assert [nu for nu, _ in packed] == [nu for nu, _, _ in strips]
+                for (_, w), (_, m, j) in zip(packed, strips):
+                    poly = broken_strip_weight(k, m, j)
+                    assert w == pack(poly, 64)
+                    assert l1_norm(poly) == 2 ** (m - 1) and m <= k
 
 
 def test_packed_table_matches_dict_route():
@@ -467,12 +471,18 @@ def test_table_probe_catches_a_broken_mirror(monkeypatch):
 
 def test_wide_bound_reads_wider_digits():
     # at mu = 1^49 the bound is f^lam, about 4.7e23 for lam = 7^7: past
-    # one 64-bit digit, so the value is summed again at 128 bits
+    # one 64-bit digit, so the value is summed once, at 128 bits, with one
+    # memo entry for each of the C(14, 7) shapes nu inside 7^7
     lam = (7,) * 7
     ones = (1,) * 49
-    bound = _mn_cached(lam, ones, 64)[1]
+    bound = characters._chi_bound(lam, ones)
     assert bound == standard_tableaux_count(lam) and digit_bits(bound) == 128
+    clear_caches()
     assert character(lam, ones) == standard_tableaux_count(lam) * ONE
+    assert _mn_cached.cache_info().currsize == math.comb(14, 7)
+    hits = _mn_cached.cache_info().hits
+    _mn_cached(lam, ones, 128)
+    assert _mn_cached.cache_info().hits == hits + 1
 
     @functools.cache
     def reference(lam, mu):
@@ -484,27 +494,77 @@ def test_wide_bound_reads_wider_digits():
                     for nu, m, j in strip_removals(lam, k)), ZERO)
 
     mixed = (3, 2, 2) + (1,) * 42
-    assert digit_bits(_mn_cached(lam, mixed, 64)[1]) == 128
+    assert digit_bits(characters._chi_bound(lam, mixed)) == 128
     assert character(lam, mixed) == reference(lam, mixed)
+
+
+def l1_norm(poly):
+    return sum(map(abs, poly.terms.values()))
+
+
+# each packed route's sum, by the name of the function that forms it
+PACKED_SUMS = {"mn": "_mn_cached", "gen_sn": "_sn_sum",
+               "gen_newton": "_newton_sum"}
+
+
+def packed_sum_bound(total, lam, mu):
+    """The bound on a packed sum, restated: f^lam * 2^(n - len(mu)) for
+    chi, times the L1 norm bound of the divisor of the route's final
+    exact division, (q-1)^len(mu) * (n - lam_1)! for gen_sn and
+    P(1/t) * (t-1)^len(mu), P of degree n - lam_1, for gen_newton."""
+    n, top, l = sum(lam), sum(lam) - lam[0], len(mu)
+    chi = standard_tableaux_count(lam) << (n - l)
+    return {"_mn_cached": chi, "_sn_sum": (chi << l) * math.factorial(top),
+            "_newton_sum": chi << (top + l)}[total]
 
 
 @pytest.mark.parametrize("algorithm", ["gen_sn", "gen_newton"])
 def test_reduction_wide_path_matches_packed(algorithm):
     # a reduction's sum taken at wider digits reads back the same
     # polynomial under the same bound, as it must past the 2^63 bound
-    total = {"gen_sn": characters._sn_sum,
-             "gen_newton": characters._newton_sum}[algorithm]
+    name = PACKED_SUMS[algorithm]
+    total = getattr(characters, name)
     clear_caches()
     for n in range(1, 8):
         for lam in partitions_of(n):
             for mu in partitions_of(n):
-                v, norm = total(lam, mu, 64)
-                want = unpack(v, norm, 64)
+                bound = packed_sum_bound(name, lam, mu)
+                want = unpack(total(lam, mu, 64), bound, 64)
                 for bits in (128, 192):
-                    v, wide_norm = total(lam, mu, bits)
-                    assert wide_norm == norm, (lam, mu, bits)
-                    assert unpack(v, norm, bits) == want, (lam, mu, bits)
+                    got = unpack(total(lam, mu, bits), bound, bits)
+                    assert got == want, (lam, mu, bits)
     clear_caches()
+
+
+def test_packed_sums_stay_within_their_bounds(monkeypatch):
+    # every sum a packed route reads back, here read from digits far
+    # wider than any n <= 8 value needs, has an L1 norm within the bound
+    # the route fixed its width by, and that bound is the one restated
+    # above; at mu = 1^n, where chi is f^lam, the mn bound is exact
+    sums = []
+
+    def read_wide(total, bound, *args):
+        poly = unpack(total(*args, 256), 1 << 254, 256)
+        sums.append((total.__name__, args, bound, poly))
+        return poly
+
+    for n in range(1, 9):
+        want = char_table(n, "strips").entries
+        with monkeypatch.context() as m:
+            m.setattr(characters, "_read_packed", read_wide)
+            clear_caches()
+            for lam in partitions_of(n):
+                for mu in partitions_of(n):
+                    for algorithm in PACKED_SUMS:
+                        got = character(lam, mu, algorithm)
+                        assert got == want[(lam, mu)], (algorithm, lam, mu)
+    clear_caches()
+    assert {name for name, *_ in sums} == set(PACKED_SUMS.values())
+    for name, (lam, mu), bound, poly in sums:
+        assert bound == packed_sum_bound(name, lam, mu), (name, lam, mu)
+        assert l1_norm(poly) <= bound, (name, lam, mu)
+        if name == "_mn_cached" and mu == (1,) * len(mu):
+            assert l1_norm(poly) == bound, lam
 
 
 @pytest.mark.parametrize("algorithm, constant", [
@@ -514,8 +574,7 @@ def test_reduction_packed_constant_off_by_one_is_caught(
     # negative control: one memo of packed constants, each off by one in
     # its lowest digit, reaches the final exact division, which raises
     right = getattr(characters, constant)
-    monkeypatch.setattr(characters, constant,
-                        lambda *key: (right(*key)[0] + 1, right(*key)[1]))
+    monkeypatch.setattr(characters, constant, lambda *key: right(*key) + 1)
     clear_caches()
     with pytest.raises(ExactnessError):
         char_table(6, algorithm)
@@ -835,10 +894,17 @@ def test_save_table_failure_keeps_old_file(tmp_path):
     path = tmp_path / "table3.json"
     save_table(char_table(3), path)
     before = path.read_bytes()
-    with pytest.raises(KeyError):
-        save_table(CharTable(n=3), path)   # no entries: serialising fails
-    assert path.read_bytes() == before
-    assert [p.name for p in tmp_path.iterdir()] == ["table3.json"]
+    missing = char_table(3)
+    del missing.entries[((1, 1, 1), (2, 1))]
+    for table, key in ((CharTable(n=3), ((3,), (3,))),
+                       (missing, ((1, 1, 1), (2, 1)))):
+        # serialising fails at the first missing pair, which it names
+        with pytest.raises(ValueError, match=re.escape(str(key))):
+            save_table(table, path)
+        with pytest.raises(ValueError, match=re.escape(str(key))):
+            dumps_table(table)
+        assert path.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["table3.json"]
 
 
 def test_entry_document_schema():

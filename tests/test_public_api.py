@@ -2,7 +2,10 @@
 and every callable in it raises ValueError for malformed input, also
 right after a good call has filled its memos."""
 
+import pytest
+
 import heckechar
+from heckechar.characters import CharTable
 
 PUBLIC = sorted("""
     ALGORITHM_NAMES ExactnessError LaurentPoly bitrace bitrace_via_gram
@@ -26,7 +29,9 @@ BAD = {
     "terms": [None, True, 1.0, "3", [(0, 1)], {None: 1}, {1.0: 1},
               {True: 1}, {0: 1.0}, {0: True}, {0: "1"}, {0: None}],
     "text": [None, True, 1.0, 3, ("3",), "x", "1.0", "-1", "1,,2"],
-    "table": [None, True, 1.0, "3", {}, {"n": 1, "entries": {}}],
+    # CharTable(n=2) is a table object whose entries miss every pair
+    "table": [None, True, 1.0, "3", {}, {"n": 1, "entries": {}},
+              CharTable(n=2)],
     "name": [None, True, 1.0, "3", "MN", ("mn",)],
 }
 
@@ -98,3 +103,17 @@ def test_every_public_callable_rejects_malformed_input(tmp_path):
                     got = exc
                 wrong.append(f"{name}{tuple(args)!r} -> {got!r}")
     assert not wrong, "\n".join(wrong)
+
+
+def test_laurent_constants_are_ints():
+    # int arithmetic on a polynomial makes its constant through const; a
+    # bool or a float is not an int there, as in the constructor
+    p = heckechar.LaurentPoly({0: 1, -1: 2})
+    assert heckechar.LaurentPoly.const(3) == p - p + 3
+    for bad in (True, False, 1.0, 0.0, None, "1", (1,)):
+        with pytest.raises(ValueError):
+            heckechar.LaurentPoly.const(bad)
+    for op in (lambda: p + True, lambda: True + p, lambda: p - False,
+               lambda: True - p, lambda: p.divexact(True)):
+        with pytest.raises(ValueError):
+            op()
