@@ -36,8 +36,8 @@ from __future__ import annotations
 import json
 import os
 import tempfile
-from collections import Counter
 from dataclasses import dataclass, field
+from itertools import product, repeat
 from math import factorial, prod
 
 from .laurent import (
@@ -47,8 +47,8 @@ from .laurent import (
 # clear_caches is re-exported: the CLI and the benchmark call it from here
 from .partitions import (
     MEMOS, _partitions_of, cached, check_composition, check_degree,
-    check_indices, clear_caches, conjugate, nonzero_length, partition_count,
-    partitions_of, sort_to_partition, strip_removals, sub_compositions, weight,
+    check_indices, clear_caches, conjugate, partition_count, partitions_of,
+    sort_to_partition, strip_removals, weight,
 )
 from .schur import (
     _classical_mn, _omt_pow, _power_sum_terms, centralizer_order,
@@ -223,19 +223,29 @@ def _mn_value(lam, mu):
 
 @cached
 def _first_row_level(mu, i):
-    """The tau in sub_compositions(mu, i), grouped: (rem, j, count) for
-    each (mu - tau sorted to a partition, nz(tau)) met count times."""
-    groups = Counter(
-        (sort_to_partition([m - x for m, x in zip(mu, tau)]),
-         nonzero_length(tau)) for tau in sub_compositions(mu, i))
+    """The tau with 0 <= tau_k <= mu_k and |tau| = i, grouped: (rem, j,
+    count) for each (mu - tau sorted to a partition, nz(tau)) met count
+    times.  The first part keeps mu_1 - x boxes, for each x it can give
+    up, and each group of mu[1:] at level i - x gains that part and
+    counts x > 0; mu's suffixes are partitions, so their levels are
+    memoised and shared by every mu that ends in them."""
+    if not mu:
+        return (((), 0, 1),) if i == 0 else ()
+    head, rest = mu[0], mu[1:]
+    groups = {}
+    for x in range(max(0, i - weight(rest)), min(head, i) + 1):
+        for rem, j, count in _first_row_level(rest, i - x):
+            key = (sort_to_partition(rem + (head - x,)), j + (x > 0))
+            groups[key] = groups.get(key, 0) + count
     return tuple((rem, j, count) for (rem, j), count in groups.items())
 
 
 def _first_row_terms(lam, mu):
     """The terms of the first row's vertex operator: for lam_1 <= i <= n
-    and each tau in sub_compositions(mu, i), a term of weight
-    (1 - 1/t)^nz(tau); the terms that agree in mu - tau up to order and
-    in nz(tau) come as one quadruple (i, rem, j, count)."""
+    and each tau with 0 <= tau_k <= mu_k and |tau| = i, a term of weight
+    (1 - 1/t)^nz(tau).  The terms that agree in mu - tau up to order and
+    in nz(tau) come as one quadruple (i, rem, j, count), from the suffix
+    recursion of _first_row_level: no tau is built."""
     for i in range(lam[0], weight(mu) + 1):
         for rem, j, count in _first_row_level(mu, i):
             yield i, rem, j, count
@@ -297,11 +307,14 @@ def _sn_sum(lam, mu, bits):
 def _via_sn(lam, mu):
     """Reduce to classical characters of lower-degree symmetric groups.
 
-    Each term's denominator z * z_rho divides (n - lam_1)!: the block
-    sizes n_j (the parts of mu - tau, and i - lam_1) sum to n - lam_1,
-    each n_j! / z_{rho_j} is a class size of S_{n_j}, and a product of
-    the n_j! divides (n - lam_1)!.  So integer numerators are summed
-    over that one denominator and a single exact division ends the sum.
+    The terms come from _first_row_terms, one per group (i, mu - tau
+    sorted, nz(tau)) times its count, so each inner sum is read once per
+    group however many tau share it.  Each term's denominator z * z_rho
+    divides (n - lam_1)!: the block sizes n_j (the parts of mu - tau,
+    and i - lam_1) sum to n - lam_1, each n_j! / z_{rho_j} is a class
+    size of S_{n_j}, and a product of the n_j! divides (n - lam_1)!.  So
+    integer numerators are summed over that one denominator and a single
+    exact division ends the sum.
     """
     fact = factorial(weight(lam) - lam[0])
     return _read_packed(_sn_sum, (_chi_bound(lam, mu) << len(mu)) * fact,
@@ -642,27 +655,37 @@ def _table_chunks(table):
     n, variable and the entries in reverse-lexicographic (lambda, mu)
     order, with a missing tag written as "unknown"; p(n) >= 1, so the
     entry list is never empty.  Each partition's list is formatted once
-    and each tag escaped once, by ``json.dumps`` itself.
+    and each tag escaped once, by ``json.dumps`` itself.  Every pair is
+    checked to hold a polynomial and a string tag before the first chunk,
+    so a table the reader would refuse yields no text.
     """
     if not isinstance(table, CharTable):
         raise ValueError(f"not a CharTable: {type(table).__name__}")
     parts = partitions_of(table.n)
+    polys = list(map(table.entries.get, product(parts, repeat=2)))
+    tags = list(map(table.provenance.get, product(parts, repeat=2),
+                    repeat("unknown")))
+    if not set(map(type, polys)) <= {LaurentPoly} or \
+            not set(map(type, tags)) <= {str}:
+        for key, poly, tag in zip(product(parts, repeat=2), polys, tags):
+            if poly is None:
+                raise ValueError(f"the table has no entry at {key}")
+            if type(poly) is not LaurentPoly:
+                raise ValueError(f"the entry at {key} is not a LaurentPoly: "
+                                 f"{poly!r}")
+            if type(tag) is not str:
+                raise ValueError(f"the tag at {key} is not a string: {tag!r}")
     lists = {p: _int_list_text(p) for p in parts}
-    tags = {}
+    tag_texts = {}
     yield (f'{{\n  "format_version": {FORMAT_VERSION},\n'
            f'  "n": {table.n},\n  "variable": "q",\n  "entries": [\n')
     sep = ""
-    for lam in parts:
-        for mu in parts:
-            key = (lam, mu)
-            if key not in table.entries:
-                raise ValueError(f"the table has no entry at {key}")
-            tag = table.provenance.get(key, "unknown")
-            if tag not in tags:
-                tags[tag] = json.dumps(tag)
-            yield sep + _ENTRY % (lists[lam], lists[mu], tags[tag],
-                                  _poly_text(table.entries[key]))
-            sep = ",\n"
+    for (lam, mu), poly, tag in zip(product(parts, repeat=2), polys, tags):
+        if tag not in tag_texts:
+            tag_texts[tag] = json.dumps(tag)
+        yield sep + _ENTRY % (lists[lam], lists[mu], tag_texts[tag],
+                              _poly_text(poly))
+        sep = ",\n"
     yield "\n  ]\n}\n"
 
 

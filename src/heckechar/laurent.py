@@ -172,11 +172,13 @@ class LaurentPoly:
         return (-self) + other
 
     def __mul__(self, other):
-        if isinstance(other, int):
+        if type(other) is int:
             if not other:
                 return ZERO
             return LaurentPoly._raw({e: c * other for e, c in self.terms.items()})
         if not isinstance(other, LaurentPoly):
+            if isinstance(other, int):  # a bool: not an int, as in const
+                raise ValueError(f"not an int factor: {other!r}")
             return NotImplemented
         out = {}
         for e1, c1 in self.terms.items():

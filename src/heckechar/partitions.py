@@ -104,11 +104,6 @@ def check_indices(lam, mu):
     return lam, mu
 
 
-def nonzero_length(parts):
-    """Length of a composition: the number of nonzero parts."""
-    return sum(1 for p in parts if p)
-
-
 def _parse_parts(text, kind):
     if type(text) is not str:
         raise ValueError(f"cannot parse {kind} from {text!r}: not a str")

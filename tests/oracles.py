@@ -14,17 +14,21 @@ never calls.
 ``matrix_product_sum`` walks the library's ``contingency_matrices``
 too, but multiplies every matrix's entry weights out on its own, from
 their definition.
+``first_row_groups`` groups the library's ``sub_compositions`` one tau
+at a time, as the reductions did before their suffix recursion.
 ``deformed_centralizer`` is no oracle, only the library's centralizer
 order and factors assembled into one rational function.
 """
 
 import functools
 import itertools
+from collections import Counter
 from dataclasses import dataclass
 
 from heckechar.laurent import ONE, T, ZERO, LaurentPoly, RationalFn
 from heckechar.partitions import (
-    contingency_matrices, strip_removals, subpartitions_of_weight,
+    contingency_matrices, sort_to_partition, strip_removals,
+    sub_compositions, subpartitions_of_weight,
 )
 from heckechar.schur import centralizer_order, centralizer_poly_factors
 
@@ -155,6 +159,19 @@ def compositions_of(total, slots):
     for first in range(total + 1):
         for rest in compositions_of(total - first, slots - 1):
             yield (first,) + rest
+
+
+def nonzero_length(parts):
+    """Length of a composition: the number of nonzero parts."""
+    return sum(1 for p in parts if p)
+
+
+def first_row_groups(mu, i):
+    """The tau in sub_compositions(mu, i), counted by (mu - tau sorted
+    to a partition, nz(tau))."""
+    return Counter(
+        (sort_to_partition([m - x for m, x in zip(mu, tau)]),
+         nonzero_length(tau)) for tau in sub_compositions(mu, i))
 
 
 def frobenius_character(lam, rho):

@@ -13,7 +13,9 @@ from heckechar.laurent import (
     ONE, T, ZERO, ExactnessError, LaurentPoly, RationalFn, digit_bits,
     monomial, pack, unpack,
 )
-from heckechar.partitions import format_partition, partitions_of, strip_removals
+from heckechar.partitions import (
+    format_partition, partitions_of, strip_removals, sub_compositions,
+)
 from heckechar.schur import classical_character, pairing_polynomial
 from heckechar import characters, partitions
 from heckechar.characters import (
@@ -23,7 +25,10 @@ from heckechar.characters import (
     _mn_cached, _mn_strips, clear_caches,
 )
 
-from oracles import reference_document, standard_tableaux_count
+from oracles import (
+    first_row_groups, nonzero_length, reference_document,
+    standard_tableaux_count,
+)
 
 OMT = ONE - T
 TINV = monomial(1, -1)
@@ -34,7 +39,6 @@ def sub_composition_weight_sum(mu, i, kind):
 
     Independent of the generating-function products the library uses.
     """
-    from heckechar.partitions import nonzero_length, sub_compositions
     l = len(mu)
     total = RationalFn(ZERO)
     for tau in sub_compositions(mu, i):
@@ -213,6 +217,20 @@ def test_reduction_to_symmetric_group():
             for lam in partitions_of(n):
                 assert character(lam, mu, "gen_sn") == \
                     character(lam, mu, "mn")
+
+
+def test_first_row_level_groups_every_sub_composition():
+    # the suffix recursion against the tau-by-tau grouping: each
+    # (mu - tau, nz(tau)) once, with the count of the tau behind it
+    for n in range(11):
+        for mu in partitions_of(n):
+            for i in range(n + 1):
+                groups = characters._first_row_level(mu, i)
+                got = {(rem, j): count for rem, j, count in groups}
+                assert len(got) == len(groups), (mu, i)
+                assert got == first_row_groups(mu, i), (mu, i)
+                assert sum(got.values()) == \
+                    len(sub_compositions(mu, i)), (mu, i)
 
 
 def test_reduction_via_newton():
@@ -896,13 +914,22 @@ def test_save_table_failure_keeps_old_file(tmp_path):
     before = path.read_bytes()
     missing = char_table(3)
     del missing.entries[((1, 1, 1), (2, 1))]
+    not_poly = char_table(3)
+    not_poly.entries[((2, 1), (2, 1))] = 5
+    not_str = char_table(3)
+    not_str.provenance[((1, 1, 1), (3,))] = 7
     for table, key in ((CharTable(n=3), ((3,), (3,))),
-                       (missing, ((1, 1, 1), (2, 1)))):
-        # serialising fails at the first missing pair, which it names
+                       (missing, ((1, 1, 1), (2, 1))),
+                       (not_poly, ((2, 1), (2, 1))),
+                       (not_str, ((1, 1, 1), (3,)))):
+        # serialising fails at the first pair without a polynomial and a
+        # string tag, which it names, before any text is written
         with pytest.raises(ValueError, match=re.escape(str(key))):
             save_table(table, path)
         with pytest.raises(ValueError, match=re.escape(str(key))):
             dumps_table(table)
+        with pytest.raises(ValueError, match=re.escape(str(key))):
+            next(characters._table_chunks(table))
         assert path.read_bytes() == before
         assert [p.name for p in tmp_path.iterdir()] == ["table3.json"]
 

@@ -29,9 +29,12 @@ BAD = {
     "terms": [None, True, 1.0, "3", [(0, 1)], {None: 1}, {1.0: 1},
               {True: 1}, {0: 1.0}, {0: True}, {0: "1"}, {0: None}],
     "text": [None, True, 1.0, 3, ("3",), "x", "1.0", "-1", "1,,2"],
-    # CharTable(n=2) is a table object whose entries miss every pair
+    # CharTable(n=2) is a table object whose entries miss every pair; the
+    # two of degree 1 hold an int value and an int tag
     "table": [None, True, 1.0, "3", {}, {"n": 1, "entries": {}},
-              CharTable(n=2)],
+              CharTable(n=2), CharTable(1, {((1,), (1,)): 5}),
+              CharTable(1, {((1,), (1,)): heckechar.LaurentPoly({0: 1})},
+                        {((1,), (1,)): 7})],
     "name": [None, True, 1.0, "3", "MN", ("mn",)],
 }
 
@@ -106,14 +109,18 @@ def test_every_public_callable_rejects_malformed_input(tmp_path):
 
 
 def test_laurent_constants_are_ints():
-    # int arithmetic on a polynomial makes its constant through const; a
-    # bool or a float is not an int there, as in the constructor
+    # int arithmetic on a polynomial makes its constant through const, and
+    # a product scales by an int; a bool or a float is not an int there,
+    # as in the constructor, so True is not read as 1 nor False as 0
     p = heckechar.LaurentPoly({0: 1, -1: 2})
     assert heckechar.LaurentPoly.const(3) == p - p + 3
+    assert p * 3 == 3 * p == heckechar.LaurentPoly({0: 3, -1: 6})
     for bad in (True, False, 1.0, 0.0, None, "1", (1,)):
         with pytest.raises(ValueError):
             heckechar.LaurentPoly.const(bad)
     for op in (lambda: p + True, lambda: True + p, lambda: p - False,
-               lambda: True - p, lambda: p.divexact(True)):
+               lambda: True - p, lambda: p.divexact(True),
+               lambda: p * True, lambda: True * p, lambda: p * False,
+               lambda: False * p):
         with pytest.raises(ValueError):
             op()
