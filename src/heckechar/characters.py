@@ -7,7 +7,8 @@ Public entry point is :func:`character`, which runs one of:
   (``mn``, also what ``auto`` means for every shape); it evaluates at
   q = 2^bits, one int per value, and reads the coefficients back as
   balanced base-2^bits digits, bits fixed before the sum by the L1 bound
-  f^lam * 2^(n - len(mu)), f^lam the number of standard tableaux;
+  f^lam * 2^(n - len(mu)), f^lam the number of standard tableaux; a
+  table on it packs a whole row into one int instead (:func:`_mn_rows`);
 * closed forms for one-row, one-column, hook and two-row shapes, driven
   by two weight sequences obtained from small generating-function
   products; each is an explicit route only, chosen by its name;
@@ -210,6 +211,82 @@ def _mn_value(lam, mu):
     """Character by removing a broken border strip for each part of mu,
     largest part first: the packed sum read back."""
     return _read_packed(_mn_cached, _chi_bound(lam, mu), lam, mu)
+
+
+def _table_bound(n):
+    """A bound on every coefficient of the degree-n table: in each row
+    _chi_bound is largest at mu = (n), the mu with the fewest parts."""
+    parts = partitions_of(n)
+    return max(_chi_bound(lam, parts[0]) for lam in parts)
+
+
+def _mn_rows(n, bound, bits):
+    """The function taking a partition lam of n to its row of mn values
+    at ``partitions_of(n)``, every column from one packed int.
+
+    A row is packed in two variables: q = 2^bits inside a slot, and one
+    slot of n digits per mu, the mu in ascending lexicographic order.  A
+    value has degree at most n - len(mu) < n, so the row is one
+    polynomial in q, read back by one :func:`unpack` under ``bound``:
+    digit i is the coefficient of q^(i mod n) in slot i // n.
+
+    The partitions of m with parts <= c, in that order, are those with
+    first part 1, then 2, ..., c, and those with first part k are k
+    followed by the partitions of m - k with parts <= k.  So nu's values
+    on them, row(nu, c), are the blocks block(nu, k) one after another,
+    and block(nu, k) is the strip recursion at a first part k: the sum
+    over the broken k-strips nu/rest of the packed weight times
+    row(rest, k).  Both are memoised in dicts that live as long as the
+    returned function; the rows of n themselves are memoised nowhere.
+    """
+    slot = n * bits
+    # fewer[c][m]: the number of partitions of m with parts <= c
+    fewer = [[1] + [0] * n]
+    for c in range(1, n + 1):
+        f = fewer[-1][:]
+        for m in range(c, n + 1):
+            f[m] += f[m - c]
+        fewer.append(f)
+    blocks, rows = {}, {}
+
+    def block(nu, k):
+        v = 0
+        for rest, m, j in strip_removals(nu, k):
+            v += _packed_weight(k, m, j, bits) * row(rest, k)
+        return v
+
+    def memo_block(nu, k):
+        v = blocks.get((nu, k))
+        if v is None:
+            v = blocks[(nu, k)] = block(nu, k)
+        return v
+
+    def total(nu, c, block_of):
+        m = weight(nu)
+        v = 0
+        for k in range(1, min(c, m) + 1):
+            v += block_of(nu, k) << slot * fewer[k - 1][m]
+        return v
+
+    def row(nu, c):
+        if not nu:
+            return 1
+        key = (nu, min(c, weight(nu)))
+        v = rows.get(key)
+        if v is None:
+            v = rows[key] = total(*key, memo_block)
+        return v
+
+    def read(lam):
+        if not lam:
+            return [ONE]
+        slots = [{} for _ in range(fewer[n][n])]
+        for e, c in unpack(total(lam, n, block), bound, bits).terms.items():
+            i, e = divmod(e, n)
+            slots[i][e] = c
+        return [LaurentPoly._raw(terms) for terms in reversed(slots)]
+
+    return read
 
 
 # -- general reduction formulas -----------------------------------------
@@ -517,21 +594,31 @@ def char_table(n, algorithm="auto"):
     """Fill the full table of character values for degree n.
 
     Both indices run over the partitions of n in reverse-lexicographic
-    order.  The route runs on the rows with lam >= lam' (as tuples); each
+    order.  The rows with lam >= lam' (as tuples) are computed: on
+    ``mn`` (and so ``auto``) each whole, as one packed int from
+    :func:`_mn_rows`, at one digit width for the table, fixed by
+    :func:`_table_bound`; on every other route entry by entry.  Each
     other row is read off its conjugate's row, which that order fills
     first, through the duality
-    chi^lam_mu(q) = (-q)^(n - len(mu)) * chi^lam'_mu(1/q).  The route
-    also computes a mirrored row's entry at mu = (n), which must equal
-    the mirrored value (ExactnessError otherwise) and lets a closed form
-    reject a shape outside its family.  Each entry's tag names the route
-    whose values fill the table; about half of them are read through the
-    duality.
+    chi^lam_mu(q) = (-q)^(n - len(mu)) * chi^lam'_mu(1/q).  The route,
+    called for one value, also computes a mirrored row's entry at
+    mu = (n), which must equal the mirrored value (ExactnessError
+    otherwise) and lets a closed form reject a shape outside its family;
+    on ``mn`` that is the per-value recursion, so it checks the row
+    engine.  Each entry's tag names the route whose values fill the
+    table; about half of them are read through the duality.
     """
     tag = resolve_algorithm(algorithm)
     route = ALGORITHMS[tag]
     table = CharTable(n=n)
     entries, provenance = table.entries, table.provenance
     parts = partitions_of(n)
+    if tag == "mn":
+        bound = _table_bound(n)
+        fill = _mn_rows(n, bound, digit_bits(bound))
+    else:
+        def fill(lam):
+            return [_run(route, lam, mu) for mu in parts]
     # valid indices by construction, so no check_indices
     for lam in parts:
         conj = conjugate(lam)
@@ -545,7 +632,7 @@ def char_table(n, algorithm="auto"):
                     f"route gives {probe.format('q')}, the mirror "
                     f"{row[0].format('q')}")
         else:
-            row = [_run(route, lam, mu) for mu in parts]
+            row = fill(lam)
         for mu, value in zip(parts, row):
             provenance[(lam, mu)] = tag
             entries[(lam, mu)] = value

@@ -194,7 +194,7 @@ class LaurentPoly:
     __rmul__ = __mul__
 
     def __pow__(self, n):
-        if not isinstance(n, int) or n < 0:
+        if type(n) is not int or n < 0:
             raise ValueError("exponent must be a non-negative integer")
         result = ONE
         base = self
@@ -218,7 +218,10 @@ class LaurentPoly:
     # -- Laurent-specific helpers ----------------------------------------
 
     def shift(self, k):
-        """Multiply by the k-th power of the variable."""
+        """Multiply by the k-th power of the variable; ``k`` is an int (a
+        bool is not)."""
+        if type(k) is not int:
+            raise ValueError(f"not an int exponent: {k!r}")
         if not k:
             return self
         return LaurentPoly._raw({e + k: c for e, c in self.terms.items()})
@@ -297,6 +300,9 @@ T = LaurentPoly._raw({1: 1})
 
 
 def monomial(coeff, exp):
+    """coeff * q^exp; both are ints (a bool is not)."""
+    if type(coeff) is not int or type(exp) is not int:
+        raise ValueError(f"not an int term: {exp!r}: {coeff!r}")
     return LaurentPoly._raw({exp: coeff}) if coeff else ZERO
 
 

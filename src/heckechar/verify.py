@@ -18,7 +18,7 @@ from .schur import (
     centralizer_order, classical_character, pairing_polynomial,
 )
 from .characters import (
-    broken_strip_weight, character, hook_weights, newton_coeffs,
+    broken_strip_weight, char_table, character, hook_weights, newton_coeffs,
     two_row_weights,
 )
 from .applications import (
@@ -90,13 +90,21 @@ _FAST_ALGS = ("mn", "strips", "oracle")
 
 def check_agreement(n_max=5):
     """All seven routes agree for n <= 11, the three fast ones up to
-    n_max; every value is a polynomial of degree at most n - len(mu)."""
+    n_max, and the default table, filled a row at a time, holds the
+    values mn gives one at a time; every value is a polynomial of degree
+    at most n - len(mu)."""
     failures = []
     for n in range(1, n_max + 1):
         algs = _FULL_ALGS if n <= 11 else _FAST_ALGS
+        table = char_table(n)
         for lam in partitions_of(n):
             for mu in partitions_of(n):
                 ref = character(lam, mu, algs[0])
+                got = table.value(lam, mu)
+                if got != ref:
+                    _fail(failures, check="table_agreement", lam=lam, mu=mu,
+                          algorithm=table.provenance[(lam, mu)],
+                          got=got.format("q"), expected=ref.format("q"))
                 for alg in algs[1:]:
                     got = character(lam, mu, alg)
                     if got != ref:

@@ -11,7 +11,7 @@ import time
 
 import pytest
 
-from heckechar import schur, verify
+from heckechar import characters, schur, verify
 from heckechar.characters import ALGORITHMS
 from heckechar.laurent import ONE, T, ExactnessError, RationalFn
 from heckechar.partitions import clear_caches
@@ -106,6 +106,30 @@ def test_conjugation_duality_names_a_broken_entry(monkeypatch):
     found = {(tuple(f["lam"]), tuple(f["mu"]))
              for f in verify.check_conjugation_duality(4)}
     assert found == {((3, 1), (2, 2)), ((2, 1, 1), (2, 2))}
+
+
+def test_table_agreement_names_a_broken_row_value(monkeypatch):
+    # negative control: one wrong value in a row the default table fills
+    # a row at a time, away from the column (4) that the duality probe
+    # checks, reaches that row and its mirror, and the check names both
+    right = characters._mn_rows
+
+    def broken(n, bound, bits):
+        read = right(n, bound, bits)
+
+        def row(lam):
+            values = read(lam)
+            if lam == (3, 1):
+                values[2] += ONE    # at mu = (2, 2)
+            return values
+        return row
+
+    monkeypatch.setattr(characters, "_mn_rows", broken)
+    failures = verify.check_agreement(4)
+    assert {(f["check"], tuple(f["lam"]), tuple(f["mu"]), f["algorithm"])
+            for f in failures} == {
+        ("table_agreement", (3, 1), (2, 2), "mn"),
+        ("table_agreement", (2, 1, 1), (2, 2), "mn")}
 
 
 def test_classical_orthogonality_names_a_broken_value(monkeypatch):

@@ -473,18 +473,63 @@ def test_closed_form_tables_raise_at_mirrored_rows():
 
 
 def test_table_probe_catches_a_broken_mirror(monkeypatch):
-    # negative control: one wrong value at ((3, 1), (4,)) is mirrored into
-    # the row (2, 1, 1), where the route's own entry at (4,) disagrees
+    # negative control on the row engine: one wrong value at ((3, 1), (4,))
+    # is mirrored into the row (2, 1, 1), where the per-value route's own
+    # entry at (4,) disagrees
     clear_caches()
-    right = ALGORITHMS["mn"]
+    right = characters._mn_rows
+
+    def broken(n, bound, bits):
+        read = right(n, bound, bits)
+
+        def row(lam):
+            values = read(lam)
+            if lam == (3, 1):
+                values[0] += ONE
+            return values
+        return row
+
     with monkeypatch.context() as m:
-        m.setitem(ALGORITHMS, "mn", lambda lam, mu: right(lam, mu) + (
-            ONE if (lam, mu) == ((3, 1), (4,)) else ZERO))
+        m.setattr(characters, "_mn_rows", broken)
         with pytest.raises(ExactnessError,
                            match=re.escape("lambda=(2, 1, 1), mu=(4,)")):
             char_table(4)
     clear_caches()
     assert char_table(4).entries == char_table(4, "strips").entries
+
+
+def test_table_probe_catches_a_broken_mirror_per_entry(monkeypatch):
+    # the same negative control on a route that fills entry by entry
+    clear_caches()
+    right = ALGORITHMS["strips"]
+    with monkeypatch.context() as m:
+        m.setitem(ALGORITHMS, "strips", lambda lam, mu: right(lam, mu) + (
+            ONE if (lam, mu) == ((3, 1), (4,)) else ZERO))
+        with pytest.raises(ExactnessError,
+                           match=re.escape("lambda=(2, 1, 1), mu=(4,)")):
+            char_table(4, "strips")
+    clear_caches()
+
+
+def test_rows_read_the_same_at_wider_digits():
+    # the row engine at 64, 128 and 192 bits reads back the same values,
+    # as it must past a 2^63 bound, which no table within reach needs;
+    # they are the per-value recursion's values, column by column
+    for n in range(0, 9):
+        parts = partitions_of(n)
+        bound = characters._table_bound(n)
+        want = [[character(lam, mu) for mu in parts] for lam in parts]
+        for bits in (64, 128, 192):
+            read = characters._mn_rows(n, bound, bits)
+            assert [read(lam) for lam in parts] == want, (n, bits)
+
+
+def test_table_bound_holds_every_entry_bound():
+    for n in range(0, 11):
+        bound = characters._table_bound(n)
+        assert all(bound >= characters._chi_bound(lam, mu)
+                   for lam in partitions_of(n) for mu in partitions_of(n)), n
+    assert digit_bits(characters._table_bound(20)) == 64
 
 
 def test_wide_bound_reads_wider_digits():

@@ -124,3 +124,18 @@ def test_laurent_constants_are_ints():
                lambda: False * p):
         with pytest.raises(ValueError):
             op()
+
+
+def test_laurent_exponents_and_terms_are_ints():
+    # a power, a shift and a monomial take int exponents and coefficients
+    # only: T ** False is not ONE, T.shift(True) is not t^2, and no bool
+    # is stored as a term
+    T, ONE = heckechar.laurent.T, heckechar.laurent.ONE
+    monomial = heckechar.laurent.monomial
+    assert T ** 0 == ONE and T ** 2 == T.shift(1) == T * T == monomial(1, 2)
+    assert T.shift(0) is T and monomial(0, 3).is_zero()
+    for bad in (True, False, 1.0, None, "1"):
+        for op in (lambda: T ** bad, lambda: T.shift(bad),
+                   lambda: monomial(bad, 1), lambda: monomial(1, bad)):
+            with pytest.raises(ValueError):
+                op()
