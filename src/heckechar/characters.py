@@ -68,11 +68,6 @@ def _qm1_pow(j):
     return T_MINUS_ONE ** j
 
 
-@cached
-def _omtinv_pow(j):
-    return ONE_MINUS_TINV ** j
-
-
 def _read_packed(total, bound, *args):
     """The polynomial ``total(*args, bits)`` holds at q = 2^bits, summed
     once at the narrowest digits that hold ``bound`` on every coefficient."""
@@ -171,7 +166,6 @@ def two_row_cumulative(mu):
 
 # -- Murnaghan-Nakayama recursion ---------------------------------------
 
-@cached
 def broken_strip_weight(k, m, j):
     """(q-1)^(m-1) * prod (-1)^(rows-1) q^(cols-1) over the m components
     of a broken k-strip, j the sum of their rows - 1: the cols - 1 sum
@@ -186,24 +180,17 @@ def _packed_weight(k, m, j, bits):
 
 
 @cached
-def _mn_strips(lam, k, bits):
-    """(nu, packed weight) for each broken k-strip lam/nu."""
-    return tuple((nu, _packed_weight(k, m, j, bits))
-                 for nu, m, j in strip_removals(lam, k))
-
-
-@cached
 def _mn_cached(lam, mu, bits):
     """chi(Q) at Q = 2^bits, the character packed: the sum over strips
     of the packed weight times the packed smaller character."""
     if not mu:
         return 0 if lam else 1
-    rest = mu[1:]
+    k, rest = mu[0], mu[1:]
     v = 0
-    for nu, w in _mn_strips(lam, mu[0], bits):
+    for nu, m, j in strip_removals(lam, k):
         sub = _mn_cached(nu, rest, bits)
         if sub:
-            v += w * sub
+            v += _packed_weight(k, m, j, bits) * sub
     return v
 
 
@@ -295,7 +282,8 @@ def _mn_rows(n, bound, bits):
 # q = 2^bits (each shifted to non-negative exponents), read the sum back
 # once through _read_packed and end in one exact division.  The sum is
 # chi times the divisor, so _chi_bound times the divisor's L1 norm fixes
-# bits.  Every packed constant and inner sum is memoised per width.
+# bits.  Every packed constant and inner sum is memoised per width; the
+# first row's weights of both come from one table, _packed_base.
 
 
 @cached
@@ -343,10 +331,10 @@ def _sn_numerator(tail, nu, z, fact):
 
 
 @cached
-def _packed_base(i, j, bits):
-    # (1 - 1/t)^j * t^i at 2^bits: j = nz(tau) <= |tau| = i, so no
-    # exponent is negative
-    return pack(_omtinv_pow(j).shift(i), bits)
+def _packed_base(j, s, bits):
+    # (t-1)^j * t^s at 2^bits, the first row's weights of both reductions:
+    # (1 - 1/t)^j = (t-1)^j * t^-j
+    return pack(_qm1_pow(j).shift(s), bits)
 
 
 @cached
@@ -377,7 +365,8 @@ def _sn_sum(lam, mu, bits):
     for i, rem, j, count in _first_row_terms(lam, mu):
         inner = _sn_inner(tail, rem, bits)
         if inner:
-            v += _packed_base(i, j, bits) * inner * count
+            # j = nz(tau) <= |tau| = i
+            v += _packed_base(j, i - j, bits) * inner * count
     return v
 
 
@@ -418,13 +407,6 @@ def _newton_scaled(top):
 
 
 @cached
-def _packed_newton_weight(j, r, l, bits):
-    # (1 - 1/t)^j * (t-1)^r * t^l at 2^bits; j = nz(tau) <= l = len(mu),
-    # so no exponent is negative
-    return pack((_omtinv_pow(j) * _qm1_pow(r)).shift(l), bits)
-
-
-@cached
 def _newton_inner(tail, rem, bits):
     """The sum over rho of C_rho * chi^tail_(rem + rho), packed, with the
     C of _newton_scaled(|tail|), of degree |tail| - |rem|."""
@@ -445,7 +427,8 @@ def _newton_sum(lam, mu, bits):
     for _, rem, j, count in _first_row_terms(lam, mu):
         inner = _newton_inner(tail, rem, bits)
         if inner:
-            v += _packed_newton_weight(j, len(rem), l, bits) * inner * count
+            # (1 - 1/t)^j * (t-1)^len(rem) * t^l; j = nz(tau) <= l = len(mu)
+            v += _packed_base(j + len(rem), l - j, bits) * inner * count
     return v
 
 
@@ -611,8 +594,9 @@ def char_table(n, algorithm="auto"):
     tag = resolve_algorithm(algorithm)
     route = ALGORITHMS[tag]
     table = CharTable(n=n)
-    entries, provenance = table.entries, table.provenance
+    entries = table.entries
     parts = partitions_of(n)
+    rows = {}
     if tag == "mn":
         bound = _table_bound(n)
         fill = _mn_rows(n, bound, digit_bits(bound))
@@ -624,18 +608,17 @@ def char_table(n, algorithm="auto"):
         conj = conjugate(lam)
         if conj > lam:
             probe = _run(route, lam, parts[0])
-            row = [_mirror(entries[(conj, mu)], n - len(mu))
-                   for mu in parts]
+            row = [_mirror(value, n - len(mu))
+                   for value, mu in zip(rows.pop(conj), parts)]
             if row[0] != probe:
                 raise ExactnessError(
                     f"duality fails at lambda={lam}, mu={parts[0]}: the "
                     f"route gives {probe.format('q')}, the mirror "
                     f"{row[0].format('q')}")
         else:
-            row = fill(lam)
-        for mu, value in zip(parts, row):
-            provenance[(lam, mu)] = tag
-            entries[(lam, mu)] = value
+            row = rows[lam] = fill(lam)
+        entries.update(zip(zip(repeat(lam), parts), row))
+    table.provenance = dict.fromkeys(entries, tag)
     return table
 
 

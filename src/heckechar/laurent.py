@@ -128,6 +128,8 @@ class LaurentPoly:
         return max(self.terms)
 
     def coeff(self, e):
+        if type(e) is not int:
+            raise ValueError(f"not an int exponent: {e!r}")
         return self.terms.get(e, 0)
 
     def leading_coeff(self):
@@ -239,6 +241,8 @@ class LaurentPoly:
         an integer Laurent polynomial."""
         if isinstance(other, int):
             other = LaurentPoly.const(other)
+        elif not isinstance(other, LaurentPoly):
+            raise ValueError(f"not a divisor: {other!r}")
         if other.is_zero():
             raise ZeroDivisionError("division by zero polynomial")
         if self.is_zero():

@@ -23,7 +23,10 @@ enumeration, so the oracle shares only ``partitions_of``,
 ``partition_tuples`` and ``sort_to_partition`` with the peeling code and
 the strip routes.
 
-Everything works in a generic variable t with exact coefficients.
+Everything works in a generic variable t with exact coefficients.  The
+memos hold what the expansions share (the powers of 1 - t, the scaled
+determinants, classical characters, centralizer factors and Newton
+coefficients), not the pairings themselves.
 """
 
 from __future__ import annotations
@@ -46,12 +49,6 @@ _CACHES = MEMOS.setdefault(__name__, [])
 @cached
 def _omt_pow(j):
     return ONE_MINUS_T ** j
-
-
-@cached
-def _neg_t_pow(j):
-    # (-t)^j
-    return monomial(-1 if j % 2 else 1, j)
 
 
 def straighten(mu):
@@ -252,7 +249,8 @@ def _strip_terms(lam, k):
     strip with components xi_1..xi_m contributes
     (1-t)^m * prod (-t)^(rows(xi_i) - 1)."""
     for mu, m, j in strip_removals(lam, k):
-        yield mu, _omt_pow(m) * _neg_t_pow(j)
+        w = _omt_pow(m).shift(j)
+        yield mu, (-w if j % 2 else w)
 
 
 _PEELERS = {
@@ -262,17 +260,6 @@ _PEELERS = {
 }
 
 
-@cached
-def _pairing_cached(lam, mu, strategy):
-    terms = _PEELERS[strategy]
-    vec = {lam: ONE}
-    for k in mu:
-        vec = _peel(k, vec, terms)
-        if not vec:
-            return ZERO
-    return vec.get((), ZERO)
-
-
 def pairing_polynomial(lam, mu, strategy="strips"):
     """Pairing of the deformed one-row product against a Schur function.
 
@@ -280,14 +267,21 @@ def pairing_polynomial(lam, mu, strategy="strips"):
     ``lam`` with the ``iterative``, ``det`` or ``strips`` expansion and
     reads the coefficient of the empty partition; ``oracle`` takes the
     power-sum route instead.  The result is always a polynomial in t
-    with integer coefficients.
+    with integer coefficients.  It is not memoised, as each caller reads
+    it once; the weights and classical characters it sums are.
     """
     lam, mu = check_indices(lam, mu)
     if strategy == "oracle":
-        return _oracle_cached(lam, mu)
+        return _oracle(lam, mu)
     if type(strategy) is not str or strategy not in _PEELERS:
         raise ValueError(f"unknown strategy {strategy!r}")
-    return _pairing_cached(lam, mu, strategy)
+    terms = _PEELERS[strategy]
+    vec = {lam: ONE}
+    for k in mu:
+        vec = _peel(k, vec, terms)
+        if not vec:
+            return ZERO
+    return vec.get((), ZERO)
 
 
 @cached
@@ -358,8 +352,7 @@ def _power_sum_terms(nu):
                prod(map(centralizer_order, tup)))
 
 
-@cached
-def _oracle_cached(lam, mu):
+def _oracle(lam, mu):
     """Independent route to the pairing polynomial.
 
     Expands each one-row factor into the power-sum basis (one partition

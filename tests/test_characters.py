@@ -22,7 +22,7 @@ from heckechar.characters import (
     ALGORITHMS, ALGORITHM_NAMES, CharTable, char_table, character,
     document_to_table, dumps_table, entry_document, hook_weights,
     loads_table, normalize_g_to_chi, resolve_algorithm, _v_product, two_row_cumulative, two_row_weights, broken_strip_weight,
-    _mn_cached, _mn_strips, clear_caches,
+    _mn_cached, _packed_weight, clear_caches,
 )
 
 from oracles import (
@@ -405,12 +405,9 @@ def test_packed_strip_weights_are_the_strip_weights():
     for n in range(1, 9):
         for lam in partitions_of(n):
             for k in range(1, n + 1):
-                packed = _mn_strips(lam, k, 64)
-                strips = strip_removals(lam, k)
-                assert [nu for nu, _ in packed] == [nu for nu, _, _ in strips]
-                for (_, w), (_, m, j) in zip(packed, strips):
+                for _, m, j in strip_removals(lam, k):
                     poly = broken_strip_weight(k, m, j)
-                    assert w == pack(poly, 64)
+                    assert _packed_weight(k, m, j, 64) == pack(poly, 64)
                     assert l1_norm(poly) == 2 ** (m - 1) and m <= k
 
 
@@ -630,8 +627,31 @@ def test_packed_sums_stay_within_their_bounds(monkeypatch):
             assert l1_norm(poly) == bound, lam
 
 
+def test_reduction_first_row_weights_share_one_table():
+    # gen_sn's (1 - 1/t)^j * t^i and gen_newton's
+    # (1 - 1/t)^j * (t-1)^r * t^l are both read from _packed_base, which
+    # holds (t-1)^j * t^s: the two identities behind its key, checked in
+    # plain polynomial arithmetic and at two digit widths
+    omtinv, qm1 = ONE - monomial(1, -1), T - ONE
+    for bits in (64, 128):
+        for i in range(11):
+            for j in range(i + 1):
+                weight = omtinv ** j * T ** i
+                assert weight == qm1 ** j * T ** (i - j)
+                assert characters._packed_base(j, i - j, bits) == \
+                    pack(weight, bits)
+        for l in range(9):
+            for j in range(l + 1):
+                for r in range(9):
+                    weight = omtinv ** j * qm1 ** r * T ** l
+                    assert weight == qm1 ** (j + r) * T ** (l - j)
+                    assert characters._packed_base(j + r, l - j, bits) == \
+                        pack(weight, bits)
+
+
 @pytest.mark.parametrize("algorithm, constant", [
-    ("gen_sn", "_packed_cpf"), ("gen_newton", "_packed_newton_weight")])
+    ("gen_sn", "_packed_cpf"), ("gen_sn", "_packed_base"),
+    ("gen_newton", "_packed_base")])
 def test_reduction_packed_constant_off_by_one_is_caught(
         algorithm, constant, monkeypatch):
     # negative control: one memo of packed constants, each off by one in

@@ -111,7 +111,8 @@ def test_every_public_callable_rejects_malformed_input(tmp_path):
 def test_laurent_constants_are_ints():
     # int arithmetic on a polynomial makes its constant through const, and
     # a product scales by an int; a bool or a float is not an int there,
-    # as in the constructor, so True is not read as 1 nor False as 0
+    # as in the constructor, so True is not read as 1 nor False as 0; a
+    # divisor is an int or a polynomial, nothing else
     p = heckechar.LaurentPoly({0: 1, -1: 2})
     assert heckechar.LaurentPoly.const(3) == p - p + 3
     assert p * 3 == 3 * p == heckechar.LaurentPoly({0: 3, -1: 6})
@@ -121,21 +122,25 @@ def test_laurent_constants_are_ints():
     for op in (lambda: p + True, lambda: True + p, lambda: p - False,
                lambda: True - p, lambda: p.divexact(True),
                lambda: p * True, lambda: True * p, lambda: p * False,
-               lambda: False * p):
+               lambda: False * p, lambda: p.divexact(1.0),
+               lambda: p.divexact(None), lambda: p.divexact("1")):
         with pytest.raises(ValueError):
             op()
 
 
 def test_laurent_exponents_and_terms_are_ints():
-    # a power, a shift and a monomial take int exponents and coefficients
-    # only: T ** False is not ONE, T.shift(True) is not t^2, and no bool
-    # is stored as a term
+    # a power, a shift, a monomial and a coefficient lookup take int
+    # exponents and coefficients only: T ** False is not ONE,
+    # T.shift(True) is not t^2, T.coeff(True) is not the coefficient of
+    # t^1, and no bool is stored as a term
     T, ONE = heckechar.laurent.T, heckechar.laurent.ONE
     monomial = heckechar.laurent.monomial
     assert T ** 0 == ONE and T ** 2 == T.shift(1) == T * T == monomial(1, 2)
     assert T.shift(0) is T and monomial(0, 3).is_zero()
+    assert T.coeff(1) == 1 and T.coeff(0) == 0
     for bad in (True, False, 1.0, None, "1"):
         for op in (lambda: T ** bad, lambda: T.shift(bad),
-                   lambda: monomial(bad, 1), lambda: monomial(1, bad)):
+                   lambda: monomial(bad, 1), lambda: monomial(1, bad),
+                   lambda: T.coeff(bad)):
             with pytest.raises(ValueError):
                 op()
