@@ -36,7 +36,7 @@ from __future__ import annotations
 
 import json
 import os
-import tempfile
+import stat
 from dataclasses import dataclass, field
 from itertools import product, repeat
 from math import factorial, prod
@@ -45,7 +45,7 @@ from .laurent import (
     ZERO, ONE, T, ExactnessError, LaurentPoly, digit_bits, monomial, pack,
     unpack,
 )
-# clear_caches is re-exported: the CLI and the benchmark call it from here
+# clear_caches is re-exported: the benchmark calls it from here
 from .partitions import (
     MEMOS, _partitions_of, cached, check_composition, check_degree,
     check_indices, clear_caches, conjugate, partition_count, partitions_of,
@@ -795,13 +795,24 @@ def loads_table(text):
 
 
 def save_table(table, path):
-    """Write atomically: a failed save leaves an existing file as it was."""
-    fd, tmp = tempfile.mkstemp(dir=os.path.dirname(os.path.abspath(path)))
+    """Write atomically: a failed save leaves an existing file as it was.
+
+    A file replaced keeps its mode bits; a new one gets the mode
+    ``open(path, "w")`` would give it, 0o666 less the umask.
+    """
+    tmp = os.path.join(os.path.dirname(os.path.abspath(path)),
+                       f".{os.path.basename(path)}.{os.urandom(8).hex()}.tmp")
+    # not tempfile.mkstemp, whose file is 0o600 whatever the umask
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
         with os.fdopen(fd, "w", encoding="utf-8") as fh:
             fh.writelines(_table_chunks(table))
             fh.flush()
             os.fsync(fh.fileno())
+        try:
+            os.chmod(tmp, stat.S_IMODE(os.stat(path).st_mode))
+        except FileNotFoundError:
+            pass
         os.replace(tmp, path)
     finally:
         if os.path.exists(tmp):

@@ -1,8 +1,8 @@
 """Command-line interface.
 
 Subcommands: ``char`` (one character value), ``table`` (full table for a
-degree, printable or persisted to the JSON cache), ``bitrace``,
-``verify`` (invariant suites) and ``bench`` (wall-clock per algorithm).
+degree, printed or exported to a JSON file, with the fill and write
+times on stderr), ``bitrace`` and ``verify`` (invariant suites).
 
 Exit status 0 on success, 1 on verification failure (with a
 machine-readable JSON failure report on stdout), 2 on usage errors.
@@ -21,19 +21,11 @@ from .partitions import (
     format_partition, parse_composition, parse_partition, sort_to_partition,
 )
 from .characters import (
-    ALGORITHM_NAMES, char_table, character, clear_caches, dumps_table,
-    entry_document, resolve_algorithm, save_table,
+    ALGORITHM_NAMES, char_table, character, dumps_table, entry_document,
+    resolve_algorithm, save_table,
 )
 from .applications import bitrace
 from .verify import SUITE_NAMES, run_suites
-
-CACHE_ENV = "HECKECHAR_CACHE"
-
-
-def _poly_str(poly, fmt, var="q"):
-    if fmt == "latex":
-        return poly.latex(var)
-    return poly.format(var)
 
 
 def _build_parser():
@@ -60,8 +52,9 @@ def _build_parser():
     p_table.add_argument("--format", default="plain",
                          choices=("plain", "json", "latex"))
     p_table.add_argument("--cache", default=None,
-                         help="persist the table here instead of printing "
-                              f"(default from ${CACHE_ENV})")
+                         help="write the table here as JSON instead of "
+                              "printing it; an export, not a speed-up: "
+                              "reading it back is slower than a fill")
 
     p_btr = sub.add_parser("bitrace", help="bitrace of the regular "
                                            "representation")
@@ -77,12 +70,6 @@ def _build_parser():
                           help="comma-separated subset of "
                                f"{','.join(SUITE_NAMES)} or 'all'")
 
-    p_bench = sub.add_parser("bench", help="time algorithms on a full table")
-    p_bench.add_argument("--n", type=int, required=True)
-    p_bench.add_argument("--algorithms", default="mn,strips,oracle",
-                         help="comma-separated algorithm names")
-    p_bench.add_argument("--repetitions", type=int, default=1)
-
     return parser
 
 
@@ -94,22 +81,29 @@ def _cmd_char(args):
         tag = resolve_algorithm(args.algorithm)
         doc = entry_document(lam, sort_to_partition(mu), tag, value)
         print(json.dumps(doc))
+    elif args.format == "latex":
+        print(value.latex("q"))
     else:
-        print(_poly_str(value, args.format))
+        print(value.format("q"))
     return 0
 
 
 def _cmd_table(args):
-    cache_path = args.cache or os.environ.get(CACHE_ENV)
-    # checked before the fill, which can take long
-    if cache_path and (os.path.isdir(cache_path) or not os.path.isdir(
-            os.path.dirname(os.path.abspath(cache_path)))):
-        raise ValueError(f"cache path {cache_path!r} is a directory or lies "
-                         "in a directory that does not exist")
+    path = args.cache
+    if path is not None:
+        # checked before the fill, which can take long
+        parent = os.path.dirname(os.path.abspath(path))
+        if not path or os.path.isdir(path) or not os.path.isdir(parent):
+            raise ValueError(f"cache path {path!r} is empty, is a directory "
+                             "or lies in a directory that does not exist")
+    start = time.perf_counter()
     table = char_table(args.n, algorithm=args.algorithm)
-    if cache_path:
-        save_table(table, cache_path)
-        print(f"wrote {len(table.entries)} entries to {cache_path}",
+    if path is not None:
+        filled = time.perf_counter()
+        save_table(table, path)
+        written = time.perf_counter()
+        print(f"wrote {len(table.entries)} entries to {path} "
+              f"(fill {filled - start:.3f} s, write {written - filled:.3f} s)",
               file=sys.stderr)
         return 0
     if args.format == "json":
@@ -150,32 +144,11 @@ def _cmd_verify(args):
     return 0
 
 
-def _cmd_bench(args):
-    if args.repetitions < 1:
-        raise ValueError("repetitions must be at least 1")
-    algorithms = [a.strip() for a in args.algorithms.split(",") if a.strip()]
-    if not algorithms:
-        raise ValueError("no algorithm selected")
-    for alg in algorithms:
-        resolve_algorithm(alg)
-    for alg in algorithms:
-        best = None
-        for _ in range(args.repetitions):
-            clear_caches()
-            start = time.perf_counter()
-            char_table(args.n, algorithm=alg)
-            elapsed = time.perf_counter() - start
-            best = elapsed if best is None else min(best, elapsed)
-        print(f"{alg}\t{best:.3f}s")
-    return 0
-
-
 _COMMANDS = {
     "char": _cmd_char,
     "table": _cmd_table,
     "bitrace": _cmd_bitrace,
     "verify": _cmd_verify,
-    "bench": _cmd_bench,
 }
 
 

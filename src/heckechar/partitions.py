@@ -32,8 +32,8 @@ def cached(fn):
 
 
 def clear_caches():
-    """Reset every memo table of the package, in every module (the CLI
-    bench mode uses this between runs)."""
+    """Reset every memo table of the package, in every module (the
+    benchmark does this between its cold rounds)."""
     for fns in MEMOS.values():
         for fn in fns:
             fn.cache_clear()

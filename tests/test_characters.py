@@ -5,6 +5,7 @@ import json
 import math
 import pkgutil
 import re
+import stat
 from concurrent.futures import ThreadPoolExecutor
 
 import pytest
@@ -997,6 +998,24 @@ def test_save_table_failure_keeps_old_file(tmp_path):
             next(characters._table_chunks(table))
         assert path.read_bytes() == before
         assert [p.name for p in tmp_path.iterdir()] == ["table3.json"]
+
+
+def test_save_table_keeps_file_mode(tmp_path):
+    from heckechar.characters import save_table
+    # a new file gets the mode open(path, "w") gives, whatever the umask
+    reference = tmp_path / "reference"
+    reference.write_text("")
+    new = tmp_path / "new.json"
+    save_table(char_table(3), new)
+    assert new.stat().st_mode == reference.stat().st_mode
+    # a replaced file keeps its mode bits
+    for mode in (0o644, 0o640):
+        old = tmp_path / f"old{mode:o}.json"
+        old.write_text("")
+        old.chmod(mode)
+        save_table(char_table(3), old)
+        assert stat.S_IMODE(old.stat().st_mode) == mode
+        assert old.read_text() == dumps_table(char_table(3))
 
 
 def test_entry_document_schema():
