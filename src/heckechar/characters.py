@@ -19,7 +19,9 @@ Public entry point is :func:`character`, which runs one of:
   characters of lower degree, "gen_newton" to Hecke characters of lower
   degree via the Newton transition coefficients); each sums its terms
   packed in the same way, its bound times its divisor's L1 norm fixing
-  bits, and ends in one exact division.
+  bits, and ends in one int division by the packed divisor, checked to
+  leave no remainder and a quotient within chi's L1 bound
+  (:func:`_quotient`).
 
 All routes return the identical polynomial; the value depends only on
 the multiset of parts of the lower index, which is sorted on entry.
@@ -66,13 +68,6 @@ ONE_MINUS_TINV = ONE - monomial(1, -1)
 @cached
 def _qm1_pow(j):
     return T_MINUS_ONE ** j
-
-
-def _read_packed(total, bound, *args):
-    """The polynomial ``total(*args, bits)`` holds at q = 2^bits, summed
-    once at the narrowest digits that hold ``bound`` on every coefficient."""
-    bits = digit_bits(bound)
-    return unpack(total(*args, bits), bound, bits)
 
 
 @cached
@@ -196,8 +191,11 @@ def _mn_cached(lam, mu, bits):
 
 def _mn_value(lam, mu):
     """Character by removing a broken border strip for each part of mu,
-    largest part first: the packed sum read back."""
-    return _read_packed(_mn_cached, _chi_bound(lam, mu), lam, mu)
+    largest part first: the packed sum read back, summed at the narrowest
+    digits that hold chi's bound."""
+    bound = _chi_bound(lam, mu)
+    bits = digit_bits(bound)
+    return unpack(_mn_cached(lam, mu, bits), bound, bits)
 
 
 def _table_bound(n):
@@ -279,11 +277,36 @@ def _mn_rows(n, bound, bits):
 # -- general reduction formulas -----------------------------------------
 #
 # Both reductions sum their terms as ints, the polynomials evaluated at
-# q = 2^bits (each shifted to non-negative exponents), read the sum back
-# once through _read_packed and end in one exact division.  The sum is
-# chi times the divisor, so _chi_bound times the divisor's L1 norm fixes
-# bits.  Every packed constant and inner sum is memoised per width; the
-# first row's weights of both come from one table, _packed_base.
+# q = 2^bits (each shifted to non-negative exponents), and end in one int
+# division by the packed divisor, _quotient.  The sum is chi times the
+# divisor, so _chi_bound times the divisor's L1 norm fixes bits.  Every
+# packed constant and inner sum is memoised per width; the first row's
+# weights of both come from one table, _packed_base.
+
+
+def _quotient(total, divisor, bound, bits):
+    """The polynomial chi with chi(2^bits) * divisor == total, given
+    ``bound`` on chi's L1 norm; ExactnessError unless the division leaves
+    no remainder and the quotient's balanced digits meet the bound.
+
+    Let D be the divisor polynomial, D(2^bits) == divisor, with
+    bound * ||D||_1 < 2^(bits-1), as every caller fixes bits.  Given both
+    checks, chi * D has every coefficient below 2^(bits-1) in absolute
+    value and packs to total, so it is the polynomial that total's
+    balanced digits spell, and chi is that polynomial's exact quotient by
+    D.  Conversely an exact polynomial quotient within the bound passes
+    both checks."""
+    q, r = divmod(total, divisor)
+    if r:
+        # the ints themselves can pass the int-to-str digit limit
+        raise ExactnessError("inexact division: the packed sum is not a "
+                             "multiple of the packed divisor", remainder=r)
+    chi = unpack(q, bound, bits)
+    norm = sum(map(abs, chi.terms.values()))
+    if norm > bound:
+        raise ExactnessError(f"quotient {chi!r} has L1 norm {norm}, over "
+                             f"its bound {bound}")
+    return chi
 
 
 @cached
@@ -380,19 +403,21 @@ def _via_sn(lam, mu):
     and i - lam_1) sum to n - lam_1, each n_j! / z_{rho_j} is a class
     size of S_{n_j}, and a product of the n_j! divides (n - lam_1)!.  So
     integer numerators are summed over that one denominator and a single
-    exact division ends the sum.
+    exact division by (q-1)^len(mu) * (n - lam_1)! ends the sum.
     """
-    fact = factorial(weight(lam) - lam[0])
-    return _read_packed(_sn_sum, (_chi_bound(lam, mu) << len(mu)) * fact,
-                        lam, mu).divexact(_qm1_pow(len(mu)) * fact)
+    fact, l = factorial(weight(lam) - lam[0]), len(mu)
+    bound = _chi_bound(lam, mu)
+    bits = digit_bits((bound << l) * fact)
+    return _quotient(_sn_sum(lam, mu, bits),
+                     _packed_base(l, 0, bits) * fact, bound, bits)
 
 
 @cached
 def _newton_scaled(top):
-    """P(1/t), deg P and, for each m <= top, the coefficients
-    C = newton_coeffs(m) * P at 1/t * (t-1)^len(rho), each as
-    (rho, C * t^deg P), where P = prod_{k <= top} (t^k - 1): C's
-    exponents are at least -deg P."""
+    """P(1/t) * t^deg P = prod_{k <= top} (1 - t^k) and, for each
+    m <= top, the coefficients C = newton_coeffs(m) * P at 1/t *
+    (t-1)^len(rho), each as (rho, C * t^deg P), where
+    P = prod_{k <= top} (t^k - 1): C's exponents are at least -deg P."""
     p = prod((monomial(1, k) - ONE for k in range(1, top + 1)), start=ONE)
     deg = top * (top + 1) // 2
 
@@ -401,7 +426,7 @@ def _newton_scaled(top):
             _qm1_pow(len(rho))
         return rho, c.shift(deg)
 
-    return p.invert_variable(), deg, [
+    return p.invert_variable().shift(deg), [
         tuple(term(rho, c) for rho, c in newton_coeffs(m).items())
         for m in range(top + 1)]
 
@@ -412,7 +437,7 @@ def _newton_inner(tail, rem, bits):
     C of _newton_scaled(|tail|), of degree |tail| - |rem|."""
     top = weight(tail)
     v = 0
-    for rho, c in _newton_scaled(top)[2][top - weight(rem)]:
+    for rho, c in _newton_scaled(top)[1][top - weight(rem)]:
         sub = _via_newton_cached(tail, sort_to_partition(rem + rho))
         v += pack(c, bits) * pack(sub, bits)
     return v
@@ -441,14 +466,17 @@ def _via_newton_cached(lam, mu):
     denominators divide P = prod_{k <= top} (t^k - 1).  The sum runs over
     the coefficients times P, all at 1/t, grouped by mu - tau, and one
     exact division by P(1/t) * (t-1)^len(mu), of L1 norm at most
-    2^(top + len(mu)), ends it.  Each caller packs chi at its own width."""
+    2^(top + len(mu)), ends it.  The sum carries t^(deg P + len(mu)), so
+    it is divided by P(1/t) * t^deg P * (t-1)^len(mu) and the quotient
+    shifted by lam_1 - len(mu).  Each caller packs chi at its own width."""
     if not lam:
         return ONE if not mu else ZERO
     l, top = len(mu), weight(lam) - lam[0]
-    den, deg, _ = _newton_scaled(top)
-    bound = _chi_bound(lam, mu) << (top + l)
-    acc = _read_packed(_newton_sum, bound, lam, mu).shift(lam[0] - deg - l)
-    return acc.divexact(den * _qm1_pow(l))
+    bound = _chi_bound(lam, mu)
+    bits = digit_bits(bound << (top + l))
+    divisor = pack(_newton_scaled(top)[0], bits) * _packed_base(l, 0, bits)
+    return _quotient(_newton_sum(lam, mu, bits), divisor, bound,
+                     bits).shift(lam[0] - l)
 
 
 def _via_newton(lam, mu):
@@ -798,9 +826,11 @@ def save_table(table, path):
     """Write atomically: a failed save leaves an existing file as it was.
 
     A file replaced keeps its mode bits; a new one gets the mode
-    ``open(path, "w")`` would give it, 0o666 less the umask.
+    ``open(path, "w")`` would give it, 0o666 less the umask.  A symbolic
+    link is written through: it stays, and the file it names is written.
     """
-    tmp = os.path.join(os.path.dirname(os.path.abspath(path)),
+    path = os.path.realpath(path)
+    tmp = os.path.join(os.path.dirname(path),
                        f".{os.path.basename(path)}.{os.urandom(8).hex()}.tmp")
     # not tempfile.mkstemp, whose file is 0o600 whatever the umask
     fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)

@@ -76,11 +76,13 @@ def test_criterion_9_integrity_of_exact_conversions():
     # negative controls: the guards actually fire.  The det route and the
     # matrix bitraces convert exactly along the way, and the three
     # power-sum routes (oracle, gen_sn, gen_newton) sum over one
-    # denominator fixed in advance and end in a single divexact; they run
-    # under criteria 3 and 7, where any inexact step raises.  gen_sn and
-    # gen_newton form that sum as ints packed at q = 2^64 and read it back
-    # into the same single divexact, so a wrong packed constant raises
-    # there too (test_reduction_packed_constant_off_by_one_is_caught).
+    # denominator fixed in advance and end in a single exact division;
+    # they run under criteria 3 and 7, where any inexact step raises.
+    # gen_sn and gen_newton form that sum as ints packed at q = 2^bits and
+    # divide it once as an int, checked for a remainder and for a quotient
+    # over chi's L1 bound, so a wrong packed constant or sum raises there
+    # too (test_reduction_packed_constant_off_by_one_is_caught,
+    # test_reduction_quotient_checks_fire).
     with pytest.raises(ExactnessError):
         RationalFn(ONE, ONE - T).to_laurent()
     with pytest.raises(ExactnessError):

@@ -3,6 +3,7 @@ import hashlib
 import importlib
 import json
 import math
+import os
 import pkgutil
 import re
 import stat
@@ -597,22 +598,55 @@ def test_reduction_wide_path_matches_packed(algorithm):
     clear_caches()
 
 
-def test_packed_sums_stay_within_their_bounds(monkeypatch):
-    # every sum a packed route reads back, here read from digits far
-    # wider than any n <= 8 value needs, has an L1 norm within the bound
-    # the route fixed its width by, and that bound is the one restated
-    # above; at mu = 1^n, where chi is f^lam, the mn bound is exact
-    sums = []
+def reduction_divisor(algorithm, lam, mu):
+    """The divisor of a reduction's final exact division, restated:
+    (q-1)^len(mu) * (n - lam_1)! for gen_sn, and for gen_newton
+    P(1/t) * t^deg P * (t-1)^len(mu) = prod_{k <= n - lam_1} (1 - t^k) *
+    (t-1)^len(mu), its sum carrying t^(deg P + len(mu))."""
+    top, qm1 = sum(lam) - lam[0], (T - ONE) ** len(mu)
+    if algorithm == "gen_sn":
+        return qm1 * math.factorial(top)
+    return math.prod((ONE - T ** k for k in range(1, top + 1)), start=qm1)
 
-    def read_wide(total, bound, *args):
-        poly = unpack(total(*args, 256), 1 << 254, 256)
-        sums.append((total.__name__, args, bound, poly))
-        return poly
+
+def test_packed_sums_stay_within_their_bounds(monkeypatch):
+    # every sum a packed route reads back, here also formed at digits far
+    # wider than any n <= 8 value needs, has an L1 norm within the bound
+    # restated above, and the route sums it at the narrowest digits that
+    # hold that bound; each reduction divides by its restated divisor,
+    # whose L1 norm times chi's bound is within the sum's bound, and
+    # bounds the quotient by chi's bound; at mu = 1^n, where chi is
+    # f^lam, the mn bound is exact.  Only the calls a route makes for its
+    # own value are read: a sum called inside another runs unread
+    sums, quotients, depth = [], [], [0]
+    names = {name: algorithm for algorithm, name in PACKED_SUMS.items()}
+    right = characters._quotient
+
+    def read_wide(total):
+        def run(lam, mu, bits):
+            depth[0] += 1
+            try:
+                poly = unpack(total(lam, mu, 256), 1 << 254, 256)
+                value = total(lam, mu, bits)
+            finally:
+                depth[0] -= 1
+            if not depth[0]:
+                sums.append((total.__name__, lam, mu, bits, poly))
+            return value
+        return run
+
+    def quotient(total, divisor, bound, bits):
+        if not depth[0]:
+            quotients.append((sums[-1], divisor, bound, bits))
+        return right(total, divisor, bound, bits)
 
     for n in range(1, 9):
         want = char_table(n, "strips").entries
         with monkeypatch.context() as m:
-            m.setattr(characters, "_read_packed", read_wide)
+            for name in PACKED_SUMS.values():
+                m.setattr(characters, name,
+                          read_wide(getattr(characters, name)))
+            m.setattr(characters, "_quotient", quotient)
             clear_caches()
             for lam in partitions_of(n):
                 for mu in partitions_of(n):
@@ -620,12 +654,55 @@ def test_packed_sums_stay_within_their_bounds(monkeypatch):
                         got = character(lam, mu, algorithm)
                         assert got == want[(lam, mu)], (algorithm, lam, mu)
     clear_caches()
-    assert {name for name, *_ in sums} == set(PACKED_SUMS.values())
-    for name, (lam, mu), bound, poly in sums:
-        assert bound == packed_sum_bound(name, lam, mu), (name, lam, mu)
+    pairs = {(lam, mu) for n in range(1, 9) for lam in partitions_of(n)
+             for mu in partitions_of(n)}
+    assert sorted((name, lam, mu) for name, lam, mu, *_ in sums) == \
+        sorted((name, *pair) for name in names for pair in pairs)
+    for name, lam, mu, bits, poly in sums:
+        bound = packed_sum_bound(name, lam, mu)
+        assert bits == digit_bits(bound), (name, lam, mu)
         assert l1_norm(poly) <= bound, (name, lam, mu)
         if name == "_mn_cached" and mu == (1,) * len(mu):
             assert l1_norm(poly) == bound, lam
+    assert len(quotients) == 2 * len(pairs)
+    for (name, lam, mu, bits, _), divisor, bound, at in quotients:
+        chi = standard_tableaux_count(lam) << (sum(lam) - len(mu))
+        den = reduction_divisor(names[name], lam, mu)
+        assert (at, bound) == (bits, chi), (name, lam, mu)
+        assert divisor == pack(den, bits), (name, lam, mu)
+        assert chi * l1_norm(den) <= packed_sum_bound(name, lam, mu)
+
+
+@pytest.mark.parametrize("algorithm", ["gen_sn", "gen_newton"])
+@pytest.mark.parametrize("off", ["remainder", "over_bound"])
+def test_reduction_quotient_checks_fire(algorithm, off, monkeypatch):
+    # negative controls for the final int division: a sum off by one
+    # leaves a remainder, and a sum off by the packed divisor times
+    # (chi's bound + 1) divides exactly into a quotient over that bound;
+    # either raises and returns no value.  Only the sum of the queried
+    # pair is changed, so the lower-degree values gen_newton reads first
+    # stay right
+    name = PACKED_SUMS[algorithm]
+    right = getattr(characters, name)
+    for lam, mu in (((6,), (6,)), ((4, 2), (3, 1, 1, 1)),
+                    ((3, 2, 1), (2, 2, 2)), ((2, 2, 1, 1), (1,) * 6)):
+        def wrong(lam_, mu_, bits):
+            v = right(lam_, mu_, bits)
+            if (lam_, mu_) != (lam, mu):
+                return v
+            if off == "remainder":
+                return v + 1
+            bound = standard_tableaux_count(lam) << (6 - len(mu))
+            den = reduction_divisor(algorithm, lam, mu)
+            return v + pack(den, bits) * (bound + 1)
+
+        clear_caches()
+        with monkeypatch.context() as m:
+            m.setattr(characters, name, wrong)
+            with pytest.raises(ExactnessError):
+                character(lam, mu, algorithm)
+        clear_caches()
+        assert character(lam, mu, algorithm) == character(lam, mu, "strips")
 
 
 def test_reduction_first_row_weights_share_one_table():
@@ -1016,6 +1093,24 @@ def test_save_table_keeps_file_mode(tmp_path):
         save_table(char_table(3), old)
         assert stat.S_IMODE(old.stat().st_mode) == mode
         assert old.read_text() == dumps_table(char_table(3))
+
+
+def test_save_table_writes_through_a_symlink(tmp_path):
+    from heckechar.characters import save_table
+    # a link to the cache is kept, and its target gets the table
+    real, link = tmp_path / "real.json", tmp_path / "link.json"
+    real.write_text("old")
+    real.chmod(0o640)
+    try:
+        os.symlink("real.json", link)
+    except (OSError, NotImplementedError, AttributeError):
+        pytest.skip("symbolic links are unavailable")
+    save_table(char_table(3), link)
+    assert link.is_symlink() and os.readlink(link) == "real.json"
+    assert real.read_text() == dumps_table(char_table(3))
+    assert stat.S_IMODE(real.stat().st_mode) == 0o640
+    assert sorted(p.name for p in tmp_path.iterdir()) == \
+        ["link.json", "real.json"]
 
 
 def test_entry_document_schema():
