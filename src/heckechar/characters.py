@@ -585,10 +585,11 @@ FORMAT_VERSION = 1
 
 @dataclass
 class CharTable:
-    """All character values for one degree, with per-entry provenance."""
+    """All character values for one degree, and ``algorithm``, the tag
+    of the route whose values fill it ("unknown" when none is given)."""
     n: int
     entries: dict = field(default_factory=dict)
-    provenance: dict = field(default_factory=dict)
+    algorithm: str = "unknown"
 
     def value(self, lam, mu):
         return self.entries[(tuple(lam), sort_to_partition(mu))]
@@ -616,12 +617,12 @@ def char_table(n, algorithm="auto"):
     mu = (n), which must equal the mirrored value (ExactnessError
     otherwise) and lets a closed form reject a shape outside its family;
     on ``mn`` that is the per-value recursion, so it checks the row
-    engine.  Each entry's tag names the route whose values fill the
-    table; about half of them are read through the duality.
+    engine.  The table's tag names the route whose values fill it;
+    about half of them are read through the duality.
     """
     tag = resolve_algorithm(algorithm)
     route = ALGORITHMS[tag]
-    table = CharTable(n=n)
+    table = CharTable(n=n, algorithm=tag)
     entries = table.entries
     parts = partitions_of(n)
     rows = {}
@@ -646,7 +647,6 @@ def char_table(n, algorithm="auto"):
         else:
             row = rows[lam] = fill(lam)
         entries.update(zip(zip(repeat(lam), parts), row))
-    table.provenance = dict.fromkeys(entries, tag)
     return table
 
 
@@ -687,12 +687,13 @@ def document_to_table(doc):
     """The table a parsed document holds.
 
     Every field must be in the form the writer emits: int degree and
-    parts, string tags, polynomials as :meth:`LaurentPoly.from_pairs`
-    requires them, and each pair of partitions of ``n`` once.  Anything
-    else raises ValueError, so a loaded table writes back the same
-    values and tags it was read from.  An element of ``"entries"`` is an
-    entry object or the :class:`_Entry` that :func:`loads_table` already
-    made of one.
+    parts, one string tag on every entry, which becomes the table's
+    ``algorithm``, polynomials as :meth:`LaurentPoly.from_pairs` requires
+    them, and each pair of partitions of ``n`` once.  Anything else
+    raises ValueError, naming the first entry whose tag differs from the
+    first entry's, so a loaded table writes back the same values and tag
+    it was read from.  An element of ``"entries"`` is an entry object or
+    the :class:`_Entry` that :func:`loads_table` already made of one.
     """
     if not isinstance(doc, dict):
         raise ValueError("a table document must be a JSON object")
@@ -707,14 +708,19 @@ def document_to_table(doc):
     if not isinstance(entries, list) or n * n > len(entries) or \
             partition_count(n) ** 2 != len(entries):
         raise ValueError(f"a table of degree {n} needs p({n})^2 entries")
-    table = CharTable(n=n)
-    shared = {}
+    table, shared = None, {}
+    # p(n)^2 >= 1 entries, so the first one makes the table
     for entry in entries:
         if type(entry) is not _Entry:
             entry = _read_entry(entry, shared)
         key, poly, tag = entry
+        if table is None:
+            table = CharTable(n=n, algorithm=tag)
+        elif tag != table.algorithm:
+            raise ValueError(f"the entry at {key} has the tag {tag!r}, the "
+                             f"first entry {table.algorithm!r}: a table has "
+                             "one tag")
         table.entries[key] = poly
-        table.provenance[key] = tag
     # no key twice, and each index a partition of n: every pair once
     parts, keys = set(partitions_of(n)), table.entries.keys()
     if len(entries) != len(keys) or \
@@ -751,38 +757,33 @@ def _table_chunks(table):
     Joined, the chunks are the text ``json.dumps`` gives, with an indent
     of two and a final newline, for the document holding format_version,
     n, variable and the entries in reverse-lexicographic (lambda, mu)
-    order, with a missing tag written as "unknown"; p(n) >= 1, so the
-    entry list is never empty.  Each partition's list is formatted once
-    and each tag escaped once, by ``json.dumps`` itself.  Every pair is
-    checked to hold a polynomial and a string tag before the first chunk,
+    order, the table's tag on every entry; p(n) >= 1, so the entry list
+    is never empty.  Each partition's list is formatted once and the tag
+    escaped once, by ``json.dumps`` itself.  The tag is checked to be a
+    string and every pair to hold a polynomial before the first chunk,
     so a table the reader would refuse yields no text.
     """
     if not isinstance(table, CharTable):
         raise ValueError(f"not a CharTable: {type(table).__name__}")
+    if type(table.algorithm) is not str:
+        raise ValueError(f"the table's tag is not a string: "
+                         f"{table.algorithm!r}")
     parts = partitions_of(table.n)
     polys = list(map(table.entries.get, product(parts, repeat=2)))
-    tags = list(map(table.provenance.get, product(parts, repeat=2),
-                    repeat("unknown")))
-    if not set(map(type, polys)) <= {LaurentPoly} or \
-            not set(map(type, tags)) <= {str}:
-        for key, poly, tag in zip(product(parts, repeat=2), polys, tags):
+    if not set(map(type, polys)) <= {LaurentPoly}:
+        for key, poly in zip(product(parts, repeat=2), polys):
             if poly is None:
                 raise ValueError(f"the table has no entry at {key}")
             if type(poly) is not LaurentPoly:
                 raise ValueError(f"the entry at {key} is not a LaurentPoly: "
                                  f"{poly!r}")
-            if type(tag) is not str:
-                raise ValueError(f"the tag at {key} is not a string: {tag!r}")
     lists = {p: _int_list_text(p) for p in parts}
-    tag_texts = {}
+    tag = json.dumps(table.algorithm)
     yield (f'{{\n  "format_version": {FORMAT_VERSION},\n'
            f'  "n": {table.n},\n  "variable": "q",\n  "entries": [\n')
     sep = ""
-    for (lam, mu), poly, tag in zip(product(parts, repeat=2), polys, tags):
-        if tag not in tag_texts:
-            tag_texts[tag] = json.dumps(tag)
-        yield sep + _ENTRY % (lists[lam], lists[mu], tag_texts[tag],
-                              _poly_text(poly))
+    for (lam, mu), poly in zip(product(parts, repeat=2), polys):
+        yield sep + _ENTRY % (lists[lam], lists[mu], tag, _poly_text(poly))
         sep = ",\n"
     yield "\n  ]\n}\n"
 

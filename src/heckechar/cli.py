@@ -49,7 +49,9 @@ def _build_parser():
     p_table.add_argument("--n", type=int, required=True)
     p_table.add_argument("--algorithm", default="auto",
                          choices=ALGORITHM_NAMES)
-    p_table.add_argument("--format", default="plain",
+    # no default, so that an explicit plain clashes with --cache; printed
+    # plain when not given
+    p_table.add_argument("--format", default=None,
                          choices=("plain", "json", "latex"))
     p_table.add_argument("--cache", default=None,
                          help="write the table here as JSON instead of "
@@ -92,6 +94,9 @@ def _cmd_table(args):
     path = args.cache
     if path is not None:
         # checked before the fill, which can take long
+        if args.format not in (None, "json"):
+            raise ValueError(f"--cache writes JSON, not --format "
+                             f"{args.format}")
         parent = os.path.dirname(os.path.abspath(path))
         if not path or os.path.isdir(path) or not os.path.isdir(parent):
             raise ValueError(f"cache path {path!r} is empty, is a directory "

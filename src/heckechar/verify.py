@@ -19,7 +19,7 @@ from .schur import (
 )
 from .characters import (
     broken_strip_weight, char_table, character, hook_weights, newton_coeffs,
-    two_row_weights,
+    two_row_cumulative, two_row_weights,
 )
 from .applications import (
     bitrace, entry_weight, supercharacter_hooks,
@@ -103,7 +103,7 @@ def check_agreement(n_max=5):
                 got = table.value(lam, mu)
                 if got != ref:
                     _fail(failures, check="table_agreement", lam=lam, mu=mu,
-                          algorithm=table.provenance[(lam, mu)],
+                          algorithm=table.algorithm,
                           got=got.format("q"), expected=ref.format("q"))
                 for alg in algs[1:]:
                     got = character(lam, mu, alg)
@@ -119,18 +119,33 @@ def check_agreement(n_max=5):
 
 
 def check_closed_forms(n_max=5):
-    """The hook and two-row closed forms equal the recursion."""
+    """The one-row, one-column, hook and two-row closed forms equal the
+    recursion, and so does the closed form of the sum of the two-row
+    characters, two_row_cumulative."""
     failures = []
     for n in range(1, n_max + 1):
         for mu in partitions_of(n):
+            for lam, alg in (((n,), "one_row"), ((1,) * n, "one_column")):
+                got, ref = character(lam, mu, alg), character(lam, mu, "mn")
+                if got != ref:
+                    _fail(failures, check=f"{alg}_vs_mn", lam=lam, mu=mu,
+                          got=got.format("q"), expected=ref.format("q"))
             for k in range(1, n + 1):
                 lam = (k,) + (1,) * (n - k)
                 if character(lam, mu, "hook") != character(lam, mu, "mn"):
                     _fail(failures, check="hook_vs_mn", k=k, mu=mu)
+            # (k, n - k) for k >= n - k: every two-row shape once
+            total = ZERO
             for k in range((n + 1) // 2, n + 1):
                 lam = (k, n - k) if n > k else (k,)
-                if character(lam, mu, "two_row") != character(lam, mu, "mn"):
+                ref = character(lam, mu, "mn")
+                if character(lam, mu, "two_row") != ref:
                     _fail(failures, check="two_row_vs_mn", k=k, mu=mu)
+                total = total + ref
+            expected = two_row_cumulative(mu)
+            if total != expected:
+                _fail(failures, check="two_row_cumulative", mu=mu,
+                      got=total.format("q"), expected=expected.format("q"))
     return failures
 
 

@@ -354,7 +354,7 @@ def reference_document(table):
     """The table cache document as the writer's reference builds it.
 
     Entries run in descending (lambda, mu) tuple order, which is
-    reverse-lexicographic in both indices; a missing tag is "unknown".
+    reverse-lexicographic in both indices, each with the table's tag.
     ``json.dumps(reference_document(t), indent=2) + "\\n"`` is the
     canonical text.
     """
@@ -364,7 +364,7 @@ def reference_document(table):
         entries.append({
             "lambda": list(lam),
             "mu": list(mu),
-            "algorithm": table.provenance.get((lam, mu), "unknown"),
+            "algorithm": table.algorithm,
             "poly": [[e, str(terms[e])] for e in sorted(terms)],
         })
     return {

@@ -53,7 +53,8 @@ def test_criterion_4_classical_specialization():
 
 
 def test_criterion_5_hook_two_row_consistency():
-    _gate(5, "hook and two-row closed forms match the recursion, n <= 8",
+    _gate(5, "one-row, one-column, hook and two-row closed forms and the "
+          "two-row sum match the recursion, n <= 8",
           verify.check_closed_forms)
 
 
@@ -132,6 +133,21 @@ def test_table_agreement_names_a_broken_row_value(monkeypatch):
             for f in failures} == {
         ("table_agreement", (3, 1), (2, 2), "mn"),
         ("table_agreement", (2, 1, 1), (2, 2), "mn")}
+
+
+def test_closed_forms_name_a_broken_one_column_value(monkeypatch):
+    # negative control: one wrong value of the one_column route is named
+    # with its indices, and nothing else fails
+    right = ALGORITHMS["one_column"]
+
+    def broken(lam, mu):
+        value = right(lam, mu)
+        return value + ONE if (lam, mu) == ((1, 1, 1, 1), (2, 2)) else value
+
+    monkeypatch.setitem(ALGORITHMS, "one_column", broken)
+    assert verify.check_closed_forms(4) == [
+        {"check": "one_column_vs_mn", "lam": [1, 1, 1, 1], "mu": [2, 2],
+         "got": "2", "expected": "1"}]
 
 
 def test_classical_orthogonality_names_a_broken_value(monkeypatch):

@@ -397,7 +397,7 @@ def test_small_tables():
     for algorithm in ALGORITHM_NAMES:
         t0 = char_table(0, algorithm)
         assert t0.value((), ()) == ONE
-        assert t0.provenance[((), ())] == resolve_algorithm(algorithm)
+        assert t0.algorithm == resolve_algorithm(algorithm)
 
 
 def test_packed_strip_weights_are_the_strip_weights():
@@ -755,8 +755,8 @@ def test_table_value_independent_of_algorithm():
     oracle = char_table(4, algorithm="oracle")
     assert auto.entries == oracle.entries
     assert auto.entries == char_table(4, algorithm="mn").entries
-    assert set(auto.provenance.values()) == {"mn"}
-    assert set(oracle.provenance.values()) == {"oracle"}
+    assert auto.algorithm == "mn"
+    assert oracle.algorithm == "oracle"
 
 
 def test_table_round_trip_bit_exact():
@@ -779,37 +779,39 @@ def test_table_round_trip_bit_exact():
 
 def edge_case_table():
     """A degree-2 table with what the writer must escape or order: a zero
-    polynomial, a negative exponent, a coefficient above 2**64, a tag
-    with a quote, a newline and a non-ASCII letter, and a missing tag."""
-    table = CharTable(n=2)
+    polynomial, a negative exponent, a coefficient above 2**64, and a tag
+    with a quote, a newline and a non-ASCII letter."""
+    table = CharTable(n=2, algorithm='quo"te\nand é')
     values = {
         ((2,), (2,)): ZERO,
         ((2,), (1, 1)): LaurentPoly({-3: 1, 0: -2, 5: 7}),
         ((1, 1), (2,)): LaurentPoly({2: 3 ** 50, 1: -(2 ** 70)}),
         ((1, 1), (1, 1)): ONE,
     }
-    tags = {((2,), (2,)): "mn", ((2,), (1, 1)): 'quo"te\nand é',
-            ((1, 1), (2,)): "oracle"}
     table.entries.update(values)
-    table.provenance.update(tags)
     return table
 
 
 def test_writer_matches_the_reference_document():
-    tables = [char_table(n) for n in range(11)] + [edge_case_table()]
+    untagged = CharTable(n=2, entries=edge_case_table().entries)
+    tables = [char_table(n) for n in range(11)] + [edge_case_table(),
+                                                   untagged]
     for table in tables:
         assert dumps_table(table) == \
             json.dumps(reference_document(table), indent=2) + "\n", table.n
-    # the edge cases read back as written, the missing tag as "unknown"
+    # the edge cases read back as written, a table built without a tag
+    # as "unknown"
     edge = edge_case_table()
     again = loads_table(dumps_table(edge))
     assert again.entries == edge.entries
-    assert again.provenance[((1, 1), (1, 1))] == "unknown"
+    assert again.algorithm == 'quo"te\nand é'
     assert dumps_table(again) == dumps_table(edge)
+    assert '"algorithm": "unknown"' in dumps_table(untagged)
+    assert loads_table(dumps_table(untagged)).algorithm == "unknown"
 
 
 # SHA-256 of the (lambda, mu, to_pairs()) rows of char_table(n) for
-# n = 0..10: the values alone, independent of the provenance tags
+# n = 0..10: the values alone, independent of the route tag
 VALUE_DIGESTS = (
     "48a92cf11c8baddf719f5d65500a4674f743b732d95f75bbb040dd6b36e5fa1a",
     "17c26e7e2a0ed4b9981ce07e770efe416932ee9e8c7140c408d7d375dbdfa45b",
@@ -868,7 +870,7 @@ def test_table_file_round_trip(tmp_path):
     save_table(table, path)
     again = load_table(path)
     assert again.entries == table.entries
-    assert again.provenance == table.provenance
+    assert again.algorithm == table.algorithm == "mn"
 
 
 def test_document_validation():
@@ -876,6 +878,24 @@ def test_document_validation():
     doc["format_version"] = 99
     with pytest.raises(ValueError):
         document_to_table(doc)
+
+
+@pytest.mark.parametrize("index", [1, 5, 8])
+def test_reader_rejects_mixed_tags(index):
+    # a table has one tag: the first entry's, which every other must carry
+    doc = reference_document(char_table(3))
+    entry = doc["entries"][index]
+    entry["algorithm"] = "oracle"
+    key = str((tuple(entry["lambda"]), tuple(entry["mu"])))
+    text = json.dumps(doc, indent=2) + "\n"
+    with pytest.raises(ValueError, match=re.escape(key)):
+        loads_table(text)
+    with pytest.raises(ValueError, match=re.escape(key)):
+        document_to_table(json.loads(text))
+    # the first entry's tag is the one the rest are held to
+    for e in doc["entries"]:
+        e["algorithm"] = "oracle"
+    assert document_to_table(doc).algorithm == "oracle"
 
 
 def test_loads_table_rejects_wrong_entry_sets():
@@ -1047,7 +1067,11 @@ def test_loaded_table_shares_one_tuple_per_partition():
     for table in (loads_table(text), document_to_table(json.loads(text))):
         assert len({id(lam) for lam, _ in table.entries}) == 11
         assert len({id(mu) for _, mu in table.entries}) == 11
-        assert len({id(tag) for tag in table.provenance.values()}) == 1
+        assert table.algorithm == "mn"
+    # and the entries, until the table is built, share one tag string
+    shared = {}
+    assert len({id(characters._read_entry(entry, shared)[2])
+                for entry in json.loads(text)["entries"]}) == 1
 
 
 def test_save_table_failure_keeps_old_file(tmp_path):
@@ -1059,19 +1083,21 @@ def test_save_table_failure_keeps_old_file(tmp_path):
     del missing.entries[((1, 1, 1), (2, 1))]
     not_poly = char_table(3)
     not_poly.entries[((2, 1), (2, 1))] = 5
-    not_str = char_table(3)
-    not_str.provenance[((1, 1, 1), (3,))] = 7
-    for table, key in ((CharTable(n=3), ((3,), (3,))),
-                       (missing, ((1, 1, 1), (2, 1))),
-                       (not_poly, ((2, 1), (2, 1))),
-                       (not_str, ((1, 1, 1), (3,)))):
-        # serialising fails at the first pair without a polynomial and a
-        # string tag, which it names, before any text is written
-        with pytest.raises(ValueError, match=re.escape(str(key))):
+    not_str = [CharTable(3, char_table(3).entries, tag)
+               for tag in (7, None, b"mn", ["mn"])]
+    for table, named in ((CharTable(n=3), str(((3,), (3,)))),
+                         (missing, str(((1, 1, 1), (2, 1)))),
+                         (not_poly, str(((2, 1), (2, 1)))),
+                         *((t, f"tag is not a string: {t.algorithm!r}")
+                           for t in not_str)):
+        # serialising fails at a tag that is not a string or at the first
+        # pair without a polynomial, which it names, before any text is
+        # written
+        with pytest.raises(ValueError, match=re.escape(named)):
             save_table(table, path)
-        with pytest.raises(ValueError, match=re.escape(str(key))):
+        with pytest.raises(ValueError, match=re.escape(named)):
             dumps_table(table)
-        with pytest.raises(ValueError, match=re.escape(str(key))):
+        with pytest.raises(ValueError, match=re.escape(named)):
             next(characters._table_chunks(table))
         assert path.read_bytes() == before
         assert [p.name for p in tmp_path.iterdir()] == ["table3.json"]

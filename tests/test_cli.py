@@ -131,6 +131,28 @@ def test_table_cache_path_checked_before_fill(tmp_path, capsys, monkeypatch,
     assert "cache path" in out.err
 
 
+@pytest.mark.parametrize("fmt", ["plain", "latex"])
+def test_table_cache_refuses_a_text_format(tmp_path, capsys, monkeypatch,
+                                           fmt):
+    # --cache writes JSON: another --format is a usage error, caught
+    # before the fill, and no file is written
+    filled = []
+    monkeypatch.setattr("heckechar.cli.char_table",
+                        lambda *args, **kwargs: filled.append(args))
+    path = tmp_path / "t.json"
+    with pytest.raises(SystemExit) as exc:
+        main(["table", "--n", "3", "--format", fmt, "--cache", str(path)])
+    assert exc.value.code == 2
+    assert filled == []
+    assert list(tmp_path.iterdir()) == []
+    monkeypatch.undo()
+    # --format json names the format --cache writes, byte for byte
+    code, out, _ = run(capsys, "table", "--n", "3", "--format", "json",
+                       "--cache", str(path))
+    assert code == 0 and out == ""
+    assert path.read_text() == dumps_table(char_table(3))
+
+
 def test_bitrace_command(capsys):
     code, out, _ = run(capsys, "bitrace", "--lambda", "2", "--mu", "1,1")
     assert code == 0

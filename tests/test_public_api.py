@@ -34,7 +34,7 @@ BAD = {
     "table": [None, True, 1.0, "3", {}, {"n": 1, "entries": {}},
               CharTable(n=2), CharTable(1, {((1,), (1,)): 5}),
               CharTable(1, {((1,), (1,)): heckechar.LaurentPoly({0: 1})},
-                        {((1,), (1,)): 7})],
+                        7)],
     "name": [None, True, 1.0, "3", "MN", ("mn",)],
 }
 
