@@ -17,8 +17,8 @@ checked on every call before any memo is read.
 
 from .laurent import ExactnessError, LaurentPoly
 from .partitions import (
-    conjugate, format_partition, parse_composition, parse_partition,
-    partitions_of, strip_removals,
+    conjugate, format_partition, memo_stats, parse_composition,
+    parse_partition, partitions_of, strip_removals,
 )
 from .schur import classical_character, newton_coeffs, pairing_polynomial
 from .characters import (
@@ -36,12 +36,12 @@ __all__ = [
     "ALGORITHM_NAMES", "ExactnessError", "LaurentPoly", "bitrace",
     "bitrace_via_gram", "char_table", "character", "classical_character",
     "clear_caches", "conjugate", "dumps_table", "format_partition",
-    "hook_weights", "load_table", "loads_table", "newton_coeffs",
-    "pairing_polynomial", "parse_composition", "parse_partition",
-    "partitions_of", "save_table", "strip_removals", "supercharacter_hooks",
-    "supercharacter_hooks_explicit", "supercharacter_two_rows",
-    "supercharacter_two_rows_explicit", "two_row_cumulative",
-    "two_row_weights",
+    "hook_weights", "load_table", "loads_table", "memo_stats",
+    "newton_coeffs", "pairing_polynomial", "parse_composition",
+    "parse_partition", "partitions_of", "save_table", "strip_removals",
+    "supercharacter_hooks", "supercharacter_hooks_explicit",
+    "supercharacter_two_rows", "supercharacter_two_rows_explicit",
+    "two_row_cumulative", "two_row_weights",
 ]
 
 __version__ = "0.1.0"

@@ -9,7 +9,8 @@ use is safe.
 This is the lowest module that memoises, so it holds the memo registry
 of the whole package: :func:`cached` wraps a function in an unbounded
 ``lru_cache`` and lists it in ``MEMOS`` under its module's name, and
-:func:`clear_caches` empties every table listed there.
+:func:`clear_caches` empties every table listed there, and
+:func:`memo_stats` reports their sizes and hit counts.
 
 Enumeration orders are fixed: compositions are produced in ascending
 lexicographic order and partitions in reverse-lexicographic order, so
@@ -37,6 +38,22 @@ def clear_caches():
     for fns in MEMOS.values():
         for fn in fns:
             fn.cache_clear()
+
+
+def memo_stats():
+    """What every memo in ``MEMOS`` holds and how often it hit, as
+    ``{"module.function": {"entries", "hits", "misses"}}`` (for example
+    ``"schur._pattern_det"``); the counts run from the memo's last
+    :func:`clear_caches`."""
+    stats = {}
+    for module, fns in MEMOS.items():
+        prefix = module.rpartition(".")[2]
+        for fn in fns:
+            info = fn.cache_info()
+            stats[f"{prefix}.{fn.__name__}"] = {
+                "entries": info.currsize, "hits": info.hits,
+                "misses": info.misses}
+    return stats
 
 
 # this module's memos; the benchmark tracer's memo_sizes reads the view
@@ -281,19 +298,26 @@ def contingency_matrices(row_sums, col_sums):
 
     Rows are filled depth-first from the remaining column sums; within a
     row the leftmost entry decreases (descending lexicographic order), so
-    the order is deterministic.
+    the order is deterministic.  Many branches of the search reach the
+    same (row index, remaining column sums) state, so each state's list
+    of (row, new column sums) is built once per call and reused.
     """
     if sum(row_sums) != sum(col_sums):
         raise ValueError(
             f"weight mismatch: |{row_sums}| != |{col_sums}|")
     r = len(row_sums)
+    steps = {}
 
     def rec(i, caps):
         if i == r:
             yield ()
             return
-        for row in reversed(sub_compositions(caps, row_sums[i])):
-            new_caps = tuple(c - v for c, v in zip(caps, row))
+        options = steps.get((i, caps))
+        if options is None:
+            options = steps[i, caps] = [
+                (row, tuple(c - v for c, v in zip(caps, row)))
+                for row in reversed(sub_compositions(caps, row_sums[i]))]
+        for row, new_caps in options:
             for rest in rec(i + 1, new_caps):
                 yield (row,) + rest
 

@@ -12,7 +12,9 @@ differ only in the (partition, weight) terms one partition expands into:
   ``straighten`` giving each one's sign and partition;
 * ``det``       -- determinant expansion over all contained
   subpartitions of the right coweight, each determinant the product of
-  the Bareiss determinants of the peel matrix's diagonal blocks;
+  the Bareiss determinants of the peel matrix's diagonal blocks; a block
+  starts at each row s with lam_s <= mu_{s-1}, and Bareiss runs once per
+  distinct block pattern (``_pattern_det``);
 * ``strips``    -- combinatorial expansion over broken border strips.
 
 All three produce identical vectors; the pairing polynomial read off the
@@ -25,8 +27,9 @@ the strip routes.
 
 Everything works in a generic variable t with exact coefficients.  The
 memos hold what the expansions share (the powers of 1 - t, the scaled
-determinants, classical characters, centralizer factors and Newton
-coefficients), not the pairings themselves.
+determinants and their diagonal blocks, classical characters,
+centralizer factors and Newton coefficients), not the pairings
+themselves.
 """
 
 from __future__ import annotations
@@ -147,26 +150,6 @@ def _iterative_terms(lam, k):
         yield mu, (-w if sign < 0 else w)
 
 
-def _strip_matrix(lam, mu_padded):
-    # entries of the peel matrix with denominators cleared row by row:
-    # greater -> (1-t), equal -> 1, less -> 0
-    l = len(lam)
-    rows = []
-    for i in range(l):
-        di = lam[i] - i
-        row = []
-        for j in range(l):
-            ej = mu_padded[j] - j
-            if di < ej:
-                row.append(ZERO)
-            elif di == ej:
-                row.append(ONE)
-            else:
-                row.append(ONE_MINUS_T)
-        rows.append(row)
-    return rows
-
-
 def _bareiss(rows):
     # fraction-free elimination of a square block, in place
     n = len(rows)
@@ -192,44 +175,48 @@ def _bareiss(rows):
                 row_i[j] = v.divexact(prev) if divide else v
             row_i[k] = ZERO
         prev = pivot
-    d = rows[n - 1][n - 1]
+    d = rows[n - 1][n - 1] if n else ONE
     return -d if sign < 0 else d
 
 
-def _block_det(rows):
-    """Determinant over integer Laurent polynomials.
+_ENTRIES = (ZERO, ONE, ONE_MINUS_T)
 
-    The matrix splits before each row s for which every row from s on is
-    zero left of column s; it is block upper triangular there, so the
-    determinant is the product of the Bareiss determinants of the
-    diagonal blocks.
-    """
-    n = len(rows)
-    det = ONE
-    end = low = n
-    for s in range(n - 1, -1, -1):
-        # low: the first nonzero column over the rows s..n-1
-        row = rows[s]
-        for j in range(low):
-            if not row[j].is_zero():
-                low = j
-                break
-        if low < s:
-            continue
-        block = _bareiss([r[s:end] for r in rows[s:end]])
-        if block.is_zero():
-            return ZERO
-        if not block.is_one():
-            det = det * block
-        end = s
-    return det
+
+@cached
+def _pattern_det(pattern):
+    """Bareiss determinant of one diagonal block of the peel matrix, given
+    by its entry codes: 0 where lam_i - i < mu_j - j, 1 where they are
+    equal, 2 where it is greater (entries 0, 1 and 1 - t)."""
+    return _bareiss([[_ENTRIES[c] for c in row] for row in pattern])
 
 
 @cached
 def _scaled_det(lam, mu):
-    # (1-t)^{l(lam)} * det M(lam/mu; t): an honest polynomial
-    mu_padded = mu + (0,) * (len(lam) - len(mu))
-    return _block_det(_strip_matrix(lam, mu_padded))
+    """(1-t)^{l(lam)} * det M(lam/mu; t): an honest polynomial.
+
+    Row i of the peel matrix compares lam_i - i with mu_j - j in column j;
+    both decrease, so when lam_s <= mu_{s-1} every row from s on is zero
+    left of column s.  The matrix is block upper triangular there, and a
+    new diagonal block starts at each such s.
+    """
+    l = len(lam)
+    mu = mu + (0,) * (l - len(mu))
+    rows = [lam[i] - i for i in range(l)]
+    cols = [mu[j] - j for j in range(l)]
+    det = ONE
+    start = 0
+    for end in range(1, l + 1):
+        if end < l and lam[end] > mu[end - 1]:
+            continue
+        block = _pattern_det(tuple(
+            tuple((d >= e) + (d > e) for e in cols[start:end])
+            for d in rows[start:end]))
+        if block.is_zero():
+            return ZERO
+        if not block.is_one():
+            det = det * block
+        start = end
+    return det
 
 
 def _det_terms(lam, k):

@@ -4,13 +4,14 @@ These deliberately share no code with the library paths they check:
 standard fillings are enumerated forwards, symmetric-group characters
 come from alternant coefficient extraction in explicit variables,
 straightening is done by literal adjacent exchanges, determinants are
-summed over permutations, compositions are listed without pruning,
-broken strips are found by filtering every subpartition through a skew
-analysis of its rows, and the table document is built as plain dicts for
-``json.dumps`` to lay out.  ``strip_classical_character`` is the one that
-leans on the library: it reads rim hooks off the broken-strip enumerator
-``strip_removals``, which the beta-set rule of ``classical_character``
-never calls.
+summed over permutations (``peel_matrix`` writes out the whole matrix
+that the ``det`` route splits into blocks), compositions are listed
+without pruning, broken strips are found by filtering every subpartition
+through a skew analysis of its rows, and the table document is built as
+plain dicts for ``json.dumps`` to lay out.  ``strip_classical_character``
+is the one that leans on the library: it reads rim hooks off the
+broken-strip enumerator ``strip_removals``, which the beta-set rule of
+``classical_character`` never calls.
 ``matrix_product_sum`` walks the library's ``contingency_matrices``
 too, but multiplies every matrix's entry weights out on its own, from
 their definition.
@@ -144,6 +145,18 @@ def leibniz_det(rows):
             term = term * rows[i][perm[i]]
         total = total + term
     return total
+
+
+def peel_matrix(lam, mu):
+    """The whole peel matrix of lam/mu with its rows scaled by 1 - t: in
+    row i and column j, 0 where lam_i - i < mu_j - j, 1 where they are
+    equal and 1 - t where it is greater; mu is padded with zeros to the
+    length of lam."""
+    mu = tuple(mu) + (0,) * (len(lam) - len(mu))
+    omt = ONE - T
+    return [[ZERO if lam[i] - i < mu[j] - j
+             else ONE if lam[i] - i == mu[j] - j else omt
+             for j in range(len(lam))] for i in range(len(lam))]
 
 
 def compositions_of(total, slots):

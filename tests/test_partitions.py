@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 from concurrent.futures import ThreadPoolExecutor
@@ -8,9 +9,9 @@ from heckechar import partitions
 from heckechar.characters import character
 from heckechar.laurent import ONE
 from heckechar.partitions import (
-    clear_caches, conjugate, contingency_matrices, format_partition,
-    parse_composition, parse_partition, partition_count, partition_tuples,
-    partitions_of, strip_removals, sub_compositions,
+    MEMOS, clear_caches, conjugate, contingency_matrices, format_partition,
+    memo_stats, parse_composition, parse_partition, partition_count,
+    partition_tuples, partitions_of, strip_removals, sub_compositions,
 )
 from oracles import (
     SkewShape, analyze_skew, box_skew_analysis, brute_standard_count,
@@ -64,6 +65,23 @@ def test_tableaux_conjugation_and_square_sum():
             assert f == standard_tableaux_count(conjugate(lam))
             total += f * f
         assert total == math.factorial(n)
+
+
+def test_memo_stats_reads_every_registered_memo():
+    clear_caches()
+    stats = memo_stats()
+    assert len(stats) == sum(map(len, MEMOS.values()))
+    assert all(s == {"entries": 0, "hits": 0, "misses": 0}
+               for s in stats.values())
+    # two det queries of one degree share the 1x1 blocks of their peel
+    # matrices: each distinct block is one miss of _pattern_det
+    character((3, 2, 1), (2, 2, 1, 1), "det")
+    character((3, 2, 1), (2, 2, 1, 1), "det")
+    pattern = memo_stats()["schur._pattern_det"]
+    assert pattern["entries"] == pattern["misses"] > 0
+    assert pattern["hits"] > 0
+    clear_caches()
+    assert memo_stats()["schur._pattern_det"]["entries"] == 0
 
 
 def test_tableaux_memo_linearizable():
@@ -254,6 +272,36 @@ def test_contingency_matrices():
     assert got == [((1, 0), (0, 1)), ((0, 1), (1, 0))]
     with pytest.raises(ValueError):
         list(contingency_matrices((2,), (1,)))
+
+
+def _compositions_up_to(weight, length):
+    # every composition, zero parts included, of the given weight and at
+    # most the given length
+    return [c for l in range(length + 1)
+            for c in itertools.product(range(weight + 1), repeat=l)
+            if sum(c) == weight]
+
+
+def test_contingency_matrices_match_brute_force():
+    # every matrix with entries bounded by its margins, filtered by them:
+    # the enumerator gives each once, in descending lexicographic order
+    # of the rows (depth-first, each row's leftmost entry decreasing)
+    for weight in range(6):
+        comps = _compositions_up_to(weight, 3)
+        for rows in comps:
+            for cols in comps:
+                r, c = len(rows), len(cols)
+                brute = []
+                for flat in itertools.product(*(
+                        range(min(rows[i], cols[j]) + 1)
+                        for i in range(r) for j in range(c))):
+                    matrix = tuple(flat[i * c:(i + 1) * c] for i in range(r))
+                    if (all(sum(row) == s for row, s in zip(matrix, rows))
+                            and all(sum(row[j] for row in matrix) == cols[j]
+                                    for j in range(c))):
+                        brute.append(matrix)
+                got = list(contingency_matrices(rows, cols))
+                assert got == sorted(brute, reverse=True), (rows, cols)
 
 
 def test_contingency_transpose_count():

@@ -11,7 +11,7 @@ PUBLIC = sorted("""
     ALGORITHM_NAMES ExactnessError LaurentPoly bitrace bitrace_via_gram
     char_table character classical_character clear_caches conjugate
     dumps_table format_partition hook_weights load_table loads_table
-    newton_coeffs pairing_polynomial parse_composition parse_partition
+    memo_stats newton_coeffs pairing_polynomial parse_composition parse_partition
     partitions_of save_table strip_removals supercharacter_hooks
     supercharacter_hooks_explicit supercharacter_two_rows
     supercharacter_two_rows_explicit two_row_cumulative two_row_weights
@@ -62,6 +62,7 @@ def _signatures(tmp_path):
         "hook_weights": [("composition", (1, 2))],
         "load_table": [("path", path)],
         "loads_table": [("text", heckechar.dumps_table(table))],
+        "memo_stats": [],
         "newton_coeffs": [("degree", 1)],
         "pairing_polynomial": index + [("name", "det")],
         "parse_composition": [("text", "1,0,2")],

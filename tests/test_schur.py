@@ -11,14 +11,15 @@ from heckechar.partitions import (
     subpartitions_of_weight,
 )
 from heckechar.schur import (
-    _scaled_det, _strip_matrix, centralizer_order,
+    _scaled_det, centralizer_order,
     centralizer_poly_factors, classical_character, newton_coeffs,
     pairing_polynomial, straighten,
 )
 from oracles import (
     compositions_of, deformed_centralizer, exchange_straighten,
     factorwise_centralizer_factors, frobenius_character, inner_corner_removals,
-    leibniz_det, standard_tableaux_count, strip_classical_character,
+    leibniz_det, peel_matrix, standard_tableaux_count,
+    strip_classical_character,
 )
 
 OMT = ONE - T
@@ -131,12 +132,56 @@ def test_det_matrix_shapes():
     # equal shapes: upper triangular with ONE on the diagonal (the entries
     # are scaled by 1 - t), so the scaled determinant is 1
     lam = (3, 2, 1)
-    rows = _strip_matrix(lam, lam)
+    rows = peel_matrix(lam, lam)
     for i in range(3):
         assert rows[i][i] == ONE
         for j in range(i):
             assert rows[i][j].is_zero()
     assert _scaled_det(lam, lam) == ONE
+
+
+def test_scaled_det_is_the_whole_peel_matrix_determinant():
+    for n in range(7):
+        for lam in partitions_of(n):
+            for w in range(n + 1):
+                for mu in subpartitions_of_weight(lam, w):
+                    assert _scaled_det(lam, mu) == \
+                        leibniz_det(peel_matrix(lam, mu)), (lam, mu)
+
+
+def test_pattern_det_receives_the_diagonal_blocks(monkeypatch):
+    # a block starts at row 0 and at each row s with lam_s <= mu_{s-1};
+    # there every row from s on is zero left of column s, and nowhere
+    # else; the blocks come top down and stop after the first zero one
+    seen = []
+    pattern_det = schur._pattern_det
+    monkeypatch.setattr(schur, "_pattern_det",
+                        lambda p: seen.append(p) or pattern_det(p))
+    codes = {ZERO: 0, ONE: 1, OMT: 2}
+    for n in range(8):
+        for lam in partitions_of(n):
+            l = len(lam)
+            for w in range(n + 1):
+                for mu in subpartitions_of_weight(lam, w):
+                    rows = peel_matrix(lam, mu)
+                    padded = mu + (0,) * (l - len(mu))
+                    starts = [s for s in range(l)
+                              if s == 0 or lam[s] <= padded[s - 1]]
+                    for s in range(1, l):
+                        corner_zero = all(rows[i][j].is_zero()
+                                          for i in range(s, l)
+                                          for j in range(s))
+                        assert corner_zero == (s in starts), (lam, mu, s)
+                    expected = []
+                    for s, end in zip(starts, starts[1:] + [l]):
+                        block = [row[s:end] for row in rows[s:end]]
+                        expected.append(tuple(tuple(codes[e] for e in row)
+                                              for row in block))
+                        if leibniz_det(block).is_zero():
+                            break
+                    seen.clear()
+                    schur._scaled_det.__wrapped__(lam, mu)
+                    assert seen == expected, (lam, mu)
 
 
 def test_det_value_on_single_strips():
@@ -183,42 +228,49 @@ def _random_matrix(rng, n, zeros=(), zero_odds=0.0):
 
 
 def test_block_det_matches_permutation_sum():
+    # _bareiss, the determinant of each diagonal block, on random Laurent
+    # matrices with and without zero entries
     rng = random.Random(2021)
     for _ in range(200):
         n = rng.randint(0, 5)
         rows = _random_matrix(rng, n, zero_odds=rng.choice((0.0, 0.3, 0.6)))
         expected = leibniz_det(rows)
-        assert schur._block_det(rows) == expected, rows
+        assert schur._bareiss(rows) == expected, rows
 
 
 @pytest.mark.parametrize("n, zeros, blocks", [
-    # a zero lower-left corner: one split, then two (blocks bottom up)
+    # a zero lower-left corner: one split, then two (block sizes top down)
     (4, {(i, j) for i in (2, 3) for j in (0, 1)}, [2, 2]),
     (5, {(i, 0) for i in range(1, 5)}
-     | {(i, j) for i in (3, 4) for j in range(3)}, [2, 2, 1]),
+     | {(i, j) for i in (3, 4) for j in range(3)}, [1, 2, 2]),
     # zeros below the diagonal that leave no corner: no split
     (3, {(2, 0)}, [3]),
     (4, {(1, 0), (2, 1), (3, 2)}, [4]),
-    # a zero row: in the middle, and as the last row, whose 1x1 block
-    # ends the determinant at once
+    # a zero row: in the middle, and as the last row, a zero 1x1 block
     (3, {(1, j) for j in range(3)}, [3]),
-    (3, {(2, j) for j in range(3)}, [1]),
+    (3, {(2, j) for j in range(3)}, [2, 1]),
     # a zero first pivot: Bareiss swaps rows
     (3, {(0, 0)}, [3]),
     (0, set(), []),
 ], ids=["one_split", "two_splits", "lone_zero", "subdiagonal", "zero_row",
         "zero_last_row", "zero_pivot", "empty"])
-def test_block_det_splits_where_block_triangular(monkeypatch, n, zeros, blocks):
-    seen = []
-    bareiss = schur._bareiss
-    monkeypatch.setattr(schur, "_bareiss",
-                        lambda block: seen.append(len(block)) or bareiss(block))
+def test_block_det_splits_where_block_triangular(n, zeros, blocks):
+    # where every row from s on is zero left of column s, the determinant
+    # is the product of the diagonal blocks' Bareiss determinants, as
+    # _scaled_det assumes; Bareiss itself handles the zero pivots and rows
     rng = random.Random(f"block-det:{n}:{sorted(zeros)}")
     for _ in range(20):
         rows = _random_matrix(rng, n, zeros)
-        seen.clear()
-        assert schur._block_det(rows) == leibniz_det(rows)
-        assert seen == blocks
+        expected = leibniz_det(rows)
+        product = ONE
+        start = 0
+        for size in blocks:
+            end = start + size
+            product = product * schur._bareiss(
+                [row[start:end] for row in rows[start:end]])
+            start = end
+        assert product == expected
+        assert schur._bareiss(rows) == expected
 
 
 def test_surviving_drops_are_the_compositions_that_straighten():
