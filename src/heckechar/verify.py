@@ -3,13 +3,19 @@
 Each check sweeps one family of identities up to a degree bound and
 returns the counterexamples it finds, as JSON-ready dicts naming the
 check and the indices (an empty list means it passed).  The checks are
-grouped into the suites that ``heckechar verify`` runs; the acceptance
-gate in ``tests/test_acceptance.py`` runs every check at ``n_max=8``,
-so this module is the one place the identities are written down.
+grouped into the suites that ``heckechar verify`` runs (``SUITES``); the
+acceptance gate in ``tests/test_acceptance.py`` runs every check at
+``n_max=8``, and CI runs ``cross`` and ``classical`` at n_max = 11 and
+``tables`` at n_max = 20, so this module is the one place the identities
+and the comparisons of routes are written down.  ``tables`` compares the
+independent routes with mn where ``cross`` stops comparing all seven: whole
+tables up to n = 16, six fixed single values, and seeded pairs up to
+n_max.
 """
 
 from __future__ import annotations
 
+import random
 from math import factorial, prod
 
 from .laurent import ZERO, ONE, T, LaurentPoly, RationalFn, monomial
@@ -26,9 +32,6 @@ from .applications import (
     supercharacter_hooks_explicit, supercharacter_two_rows,
     supercharacter_two_rows_explicit,
 )
-
-SUITE_NAMES = ("golden", "cross", "classical", "apps")
-
 
 def _fail(failures, **info):
     failures.append({k: (list(v) if isinstance(v, tuple) else v)
@@ -360,12 +363,87 @@ def suite_apps(n_max=5):
     return check_supercharacters(n_max) + check_bitrace(n_max)
 
 
+# each route's whole table is compared with the default table at every
+# n up to its cap, where it takes a few seconds (gen_sn at n = 16 about 6)
+_TABLE_CAPS = {"gen_newton": 12, "strips": 14, "gen_sn": 16}
+
+# single values no whole table reaches.  gen_sn reads back
+# chi * (q-1)^len(mu) * (n - lam_1)!, whose bound needs 128-bit digits for
+# 22 of the 231 lambda at n = 16, all of them mirrored rows, so
+# char_table(16, "gen_sn") never sums at 128 bits.  gen_newton at n = 12
+# on mu with one repeated part, where the first-row groups collapse the
+# most sub-compositions
+_WIDE_PAIRS = (
+    ("gen_sn", (4, 4, 4, 2, 1, 1), (4, 3, 3, 2, 2, 1, 1)),
+    ("gen_sn", (4, 4, 4, 2, 1, 1), (2,) * 8),
+    ("gen_sn", (4, 4, 4, 2, 1, 1), (1,) * 16),
+    ("gen_newton", (4, 3, 3, 1, 1), (1,) * 12),
+    ("gen_newton", (4, 3, 3, 1, 1), (2,) * 6),
+    ("gen_newton", (4, 3, 3, 1, 1), (3,) * 4),
+)
+
+_SEEDED_ALGS = ("strips", "det", "iterative", "oracle", "gen_sn")
+
+
+def check_tables(n_max=5):
+    """Independent routes against mn past check_agreement's exhaustive
+    n <= 11, in three parts:
+
+    - whole tables: char_table(n, alg) equals char_table(n) entry by
+      entry at every n <= min(n_max, cap), for each route and cap of
+      ``_TABLE_CAPS``;
+    - wide pairs: each value of ``_WIDE_PAIRS`` with |lam| <= n_max;
+    - seeded pairs: 10 pairs (lam, mu) at each n from the largest cap + 1
+      to n_max, drawn by one random.Random(20), on every route of
+      ``_SEEDED_ALGS``.
+
+    A table on another route computes the rows with lam >= lam' on that
+    route and mirrors the others through the same ``_mirror`` as the
+    default table, so a whole table checks its computed half
+    independently.  The mirror itself is checked by its probe at
+    mu = (n) in every table, and by check_agreement's comparison of
+    char_table(n) with values computed one at a time up to n = 11.
+    """
+    failures = []
+
+    def compare(check, lam, mu, alg, got, expected):
+        if got != expected:
+            _fail(failures, check=check, lam=lam, mu=mu, algorithm=alg,
+                  got=got.format("q"), expected=expected.format("q"))
+
+    last_table = max(_TABLE_CAPS.values())
+    for n in range(1, min(n_max, last_table) + 1):
+        ref = char_table(n).entries
+        for alg, cap in _TABLE_CAPS.items():
+            if n <= cap:
+                got = char_table(n, alg).entries
+                for key, expected in ref.items():
+                    compare("whole_table", *key, alg, got[key], expected)
+    for alg, lam, mu in _WIDE_PAIRS:
+        if sum(lam) <= n_max:
+            compare("wide_pair", lam, mu, alg, character(lam, mu, alg),
+                    character(lam, mu, "mn"))
+    rng = random.Random(20)
+    for n in range(last_table + 1, n_max + 1):
+        parts = partitions_of(n)
+        for _ in range(10):
+            lam, mu = rng.choice(parts), rng.choice(parts)
+            expected = character(lam, mu, "mn")
+            for alg in _SEEDED_ALGS:
+                compare("seeded_pair", lam, mu, alg,
+                        character(lam, mu, alg), expected)
+    return failures
+
+
 SUITES = {
     "golden": suite_golden,
     "cross": suite_cross,
     "classical": suite_classical,
     "apps": suite_apps,
+    "tables": check_tables,
 }
+
+SUITE_NAMES = tuple(SUITES)
 
 
 def run_suites(names, n_max=5):

@@ -96,6 +96,29 @@ def test_criterion_10_conjugation_duality():
           verify.check_conjugation_duality)
 
 
+def test_criterion_11_route_tables():
+    _gate(11, "gen_newton, strips and gen_sn whole tables equal the "
+          "default table, n <= 8", verify.check_tables)
+
+
+def test_route_tables_name_a_broken_computed_value(monkeypatch):
+    # negative control: one wrong value of the strips route in a row its
+    # table computes, away from the column (4) where the mirror probe
+    # fires, reaches that row and its mirror, and the check names both
+    right = ALGORITHMS["strips"]
+
+    def broken(lam, mu):
+        value = right(lam, mu)
+        return value + ONE if (lam, mu) == ((3, 1), (2, 2)) else value
+
+    monkeypatch.setitem(ALGORITHMS, "strips", broken)
+    failures = verify.check_tables(4)
+    assert {(f["check"], tuple(f["lam"]), tuple(f["mu"]), f["algorithm"])
+            for f in failures} == {
+        ("whole_table", (3, 1), (2, 2), "strips"),
+        ("whole_table", (2, 1, 1), (2, 2), "strips")}
+
+
 def test_conjugation_duality_names_a_broken_entry(monkeypatch):
     # negative control: one wrong value of the mn route breaks the
     # duality at that row and at its conjugate, and the check names both

@@ -168,7 +168,7 @@ def test_verify_command(capsys):
     assert code == 0
     lines = out.strip().splitlines()
     assert lines == ["golden: pass", "cross: pass", "classical: pass",
-                     "apps: pass"]
+                     "apps: pass", "tables: pass"]
 
 
 def test_verify_single_suite(capsys):
