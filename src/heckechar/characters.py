@@ -39,13 +39,12 @@ from __future__ import annotations
 import json
 import os
 import stat
-from dataclasses import dataclass, field
-from itertools import product, repeat
+from itertools import chain, product, repeat
 from math import factorial, prod
 
 from .laurent import (
-    ZERO, ONE, T, ExactnessError, LaurentPoly, digit_bits, monomial, pack,
-    unpack,
+    ZERO, ONE, T, ExactnessError, LaurentPoly, biased_digits, digit_bits,
+    monomial, pack, unpack,
 )
 # clear_caches is re-exported: the benchmark calls it from here
 from .partitions import (
@@ -207,13 +206,14 @@ def _table_bound(n):
 
 def _mn_rows(n, bound, bits):
     """The function taking a partition lam of n to its row of mn values
-    at ``partitions_of(n)``, every column from one packed int.
+    at ``partitions_of(n)``, every column in one packed int, which
+    :func:`_row_reader` reads.
 
     A row is packed in two variables: q = 2^bits inside a slot, and one
     slot of n digits per mu, the mu in ascending lexicographic order.  A
     value has degree at most n - len(mu) < n, so the row is one
-    polynomial in q, read back by one :func:`unpack` under ``bound``:
-    digit i is the coefficient of q^(i mod n) in slot i // n.
+    polynomial in q, its coefficients bounded by ``bound``: digit i is
+    the coefficient of q^(i mod n) in slot i // n.
 
     The partitions of m with parts <= c, in that order, are those with
     first part 1, then 2, ..., c, and those with first part k are k
@@ -262,14 +262,41 @@ def _mn_rows(n, bound, bits):
             v = rows[key] = total(*key, memo_block)
         return v
 
-    def read(lam):
-        if not lam:
+    def packed(lam):
+        return total(lam, n, block) if lam else 1
+
+    return packed
+
+
+def _row_reader(n, bound, bits):
+    """The function taking a row packed by :func:`_mn_rows` and
+    ``mirror`` to its values at ``partitions_of(n)``.  Mirrored, they are
+    the conjugate's row through the duality: each digit e of mu's slot
+    is read as the term (-1)^s * q^(s - e), s = n - len(mu), so the
+    polynomials of the row itself are never built."""
+    parts = partitions_of(n)
+    half = 1 << (bits - 1)
+    # mu = parts[k] sits in slot len(parts) - 1 - k, digits n apiece
+    slots = [((len(parts) - 1 - k) * n, n - len(mu))
+             for k, mu in enumerate(parts)]
+
+    def read(v, mirror):
+        if not n:
             return [ONE]
-        slots = [{} for _ in range(fewer[n][n])]
-        for e, c in unpack(total(lam, n, block), bound, bits).terms.items():
-            i, e = divmod(e, n)
-            slots[i][e] = c
-        return [LaurentPoly._raw(terms) for terms in reversed(slots)]
+        digits = biased_digits(v, bound, bits, len(parts) * n)
+        values = []
+        for start, s in slots:
+            slot = digits[start:start + n]
+            if not mirror:
+                terms = {e: d - half for e, d in enumerate(slot) if d != half}
+            elif s % 2:
+                terms = {s - e: half - d for e, d in enumerate(slot)
+                         if d != half}
+            else:
+                terms = {s - e: d - half for e, d in enumerate(slot)
+                         if d != half}
+            values.append(LaurentPoly._raw(terms))
+        return values
 
     return read
 
@@ -531,7 +558,7 @@ def _via_peel(strategy):
 
 
 # Routes get valid indices and a nonempty lam (character() checks them,
-# char_table builds them, _run answers the empty pair), so each maps to
+# table_rows builds them, _run answers the empty pair), so each maps to
 # an unchecked core.  The peel routes still call pairing_polynomial,
 # which checks again: the benchmark tracer reads its schur.pairing.*
 # spans from that call.
@@ -583,13 +610,27 @@ def _run(route, lam, mu):
 FORMAT_VERSION = 1
 
 
-@dataclass
 class CharTable:
     """All character values for one degree, and ``algorithm``, the tag
-    of the route whose values fill it ("unknown" when none is given)."""
-    n: int
-    entries: dict = field(default_factory=dict)
-    algorithm: str = "unknown"
+    of the route whose values fill it ("unknown" when none is given).
+    Tables compare equal field by field, and so have no hash."""
+
+    __hash__ = None
+
+    def __init__(self, n, entries=None, algorithm="unknown"):
+        self.n = n
+        self.entries = {} if entries is None else entries
+        self.algorithm = algorithm
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.n, self.entries, self.algorithm) == \
+            (other.n, other.entries, other.algorithm)
+
+    def __repr__(self):
+        return (f"{type(self).__qualname__}(n={self.n!r}, "
+                f"entries={self.entries!r}, algorithm={self.algorithm!r})")
 
     def value(self, lam, mu):
         return self.entries[(tuple(lam), sort_to_partition(mu))]
@@ -602,51 +643,73 @@ def _mirror(poly, s):
                              for e, c in poly.terms.items()})
 
 
-def char_table(n, algorithm="auto"):
-    """Fill the full table of character values for degree n.
+def table_rows(n, tag):
+    """Yield (lam, row) for each partition lam of n in reverse-lex order,
+    row the list of values at ``partitions_of(n)`` on the route ``tag``
+    (a resolved tag; ``n`` a checked degree).
 
-    Both indices run over the partitions of n in reverse-lexicographic
-    order.  The rows with lam >= lam' (as tuples) are computed: on
-    ``mn`` (and so ``auto``) each whole, as one packed int from
-    :func:`_mn_rows`, at one digit width for the table, fixed by
-    :func:`_table_bound`; on every other route entry by entry.  Each
-    other row is read off its conjugate's row, which that order fills
-    first, through the duality
-    chi^lam_mu(q) = (-q)^(n - len(mu)) * chi^lam'_mu(1/q).  The route,
-    called for one value, also computes a mirrored row's entry at
-    mu = (n), which must equal the mirrored value (ExactnessError
-    otherwise) and lets a closed form reject a shape outside its family;
-    on ``mn`` that is the per-value recursion, so it checks the row
-    engine.  The table's tag names the route whose values fill it;
-    about half of them are read through the duality.
+    The rows with lam >= lam' (as tuples) are computed: on ``mn`` each
+    whole, as one packed int from :func:`_mn_rows`, at one digit width
+    for the table, fixed by :func:`_table_bound`; on every other route
+    entry by entry.  Each other row is read off its conjugate's row,
+    which that order yields first, through the duality
+    chi^lam_mu(q) = (-q)^(n - len(mu)) * chi^lam'_mu(1/q).  Until then the
+    conjugate's row is held as computed: on ``mn`` as its packed int,
+    which :func:`_row_reader` reads mirrored, and on the other routes as
+    values that go through :func:`_mirror`.  The route, called for one
+    value, also computes a mirrored row's entry at mu = (n), which must
+    equal the mirrored value (ExactnessError otherwise) and lets a closed
+    form reject a shape outside its family; on ``mn`` that is the
+    per-value recursion, so it checks the row engine.
     """
-    tag = resolve_algorithm(algorithm)
     route = ALGORITHMS[tag]
-    table = CharTable(n=n, algorithm=tag)
-    entries = table.entries
     parts = partitions_of(n)
-    rows = {}
     if tag == "mn":
         bound = _table_bound(n)
-        fill = _mn_rows(n, bound, digit_bits(bound))
+        bits = digit_bits(bound)
+        fill, read = _mn_rows(n, bound, bits), _row_reader(n, bound, bits)
     else:
+        shifts = [n - len(mu) for mu in parts]
+
         def fill(lam):
             return [_run(route, lam, mu) for mu in parts]
+
+        def read(row, mirror):
+            return list(map(_mirror, row, shifts)) if mirror else row
+    held = {}
     # valid indices by construction, so no check_indices
     for lam in parts:
         conj = conjugate(lam)
         if conj > lam:
             probe = _run(route, lam, parts[0])
-            row = [_mirror(value, n - len(mu))
-                   for value, mu in zip(rows.pop(conj), parts)]
+            row = read(held.pop(conj), True)
             if row[0] != probe:
                 raise ExactnessError(
                     f"duality fails at lambda={lam}, mu={parts[0]}: the "
                     f"route gives {probe.format('q')}, the mirror "
                     f"{row[0].format('q')}")
         else:
-            row = rows[lam] = fill(lam)
-        entries.update(zip(zip(repeat(lam), parts), row))
+            computed = fill(lam)
+            if conj < lam:
+                held[lam] = computed
+            row = read(computed, False)
+        yield lam, row
+
+
+def char_table(n, algorithm="auto"):
+    """Fill the full table of character values for degree n.
+
+    Both indices run over the partitions of n in reverse-lexicographic
+    order, and the rows come from :func:`table_rows`: about half of them
+    are computed, and each other one is read off its conjugate's row
+    through the duality, checked at mu = (n) by the route's per-value
+    call.  The table's tag names the route whose values fill it.
+    """
+    tag = resolve_algorithm(algorithm)
+    parts = partitions_of(n)
+    table = CharTable(n, algorithm=tag)
+    for lam, row in table_rows(n, tag):
+        table.entries.update(zip(zip(repeat(lam), parts), row))
     return table
 
 
@@ -729,11 +792,13 @@ def document_to_table(doc):
     return table
 
 
-# An entry of the table text exactly as json.dumps lays it out with an
-# indent of two spaces: entries at depth 2, their lists at depth 3, the
-# [exponent, "coefficient"] pairs at depth 4.
-_ENTRY = ('    {\n      "lambda": %s,\n      "mu": %s,\n'
-          '      "algorithm": %s,\n      "poly": %s\n    }')
+# The table text exactly as json.dumps lays it out with an indent of two
+# spaces: entries at depth 2, their lists at depth 3, the
+# [exponent, "coefficient"] pairs at depth 4.  An entry is a head, one
+# per lambda, a middle, one per mu holding the tag, and its poly text;
+# _BETWEEN closes one entry and opens the next, _END closes the last.
+_BETWEEN = "\n    },\n"
+_END = "\n    }\n  ]\n}\n"
 
 
 def _int_list_text(parts):
@@ -746,22 +811,47 @@ def _poly_text(poly):
     terms = poly.terms
     if not terms:
         return "[]"
-    return "[\n" + ",\n".join(
-        f'        [\n          {e},\n          "{terms[e]}"\n        ]'
-        for e in sorted(terms)) + "\n      ]"
+    return "[\n" + ",\n".join([
+        f'        [\n          {e},\n          "{c}"\n        ]'
+        for e, c in sorted(terms.items())]) + "\n      ]"
+
+
+def row_texts(n, tag, rows):
+    """The canonical text of the degree-n table tagged ``tag``, given
+    its (lam, row) pairs in reverse-lexicographic order: one list of
+    pieces per row, then one list holding the closing text.
+
+    Joined, the pieces are the text ``json.dumps`` gives, with an indent
+    of two and a final newline, for the document holding format_version,
+    n, variable and the entries in that order, the tag on every entry;
+    p(n) >= 1, so the entry list is never empty.  Each partition's list
+    is formatted once, and the tag escaped once, by ``json.dumps``
+    itself; every piece but an entry's poly text is one of those shared
+    strings, so the pieces of a whole table hold each text once.
+    """
+    parts = partitions_of(n)
+    lists = {p: _int_list_text(p) for p in parts}
+    tag = json.dumps(tag)
+    mids = [f'{lists[mu]},\n      "algorithm": {tag},\n      "poly": '
+            for mu in parts]
+    # the document's opening, then _BETWEEN, precedes each entry's head
+    before = (f'{{\n  "format_version": {FORMAT_VERSION},\n'
+              f'  "n": {n},\n  "variable": "q",\n  "entries": [\n')
+    for lam, row in rows:
+        head = f'    {{\n      "lambda": {lists[lam]},\n      "mu": '
+        pieces = []
+        for mid, poly in zip(mids, row):
+            pieces += before, head, mid, _poly_text(poly)
+            before = _BETWEEN
+        yield pieces
+    yield [_END]
 
 
 def _table_chunks(table):
-    """The canonical text of a table, one entry per chunk.
-
-    Joined, the chunks are the text ``json.dumps`` gives, with an indent
-    of two and a final newline, for the document holding format_version,
-    n, variable and the entries in reverse-lexicographic (lambda, mu)
-    order, the table's tag on every entry; p(n) >= 1, so the entry list
-    is never empty.  Each partition's list is formatted once and the tag
-    escaped once, by ``json.dumps`` itself.  The tag is checked to be a
-    string and every pair to hold a polynomial before the first chunk,
-    so a table the reader would refuse yields no text.
+    """The canonical text of a table in pieces, one list per row, as
+    :func:`row_texts` gives them.  The tag is checked to be a string and
+    every pair to hold a polynomial before the first list, so a table
+    the reader would refuse yields no text.
     """
     if not isinstance(table, CharTable):
         raise ValueError(f"not a CharTable: {type(table).__name__}")
@@ -777,20 +867,14 @@ def _table_chunks(table):
             if type(poly) is not LaurentPoly:
                 raise ValueError(f"the entry at {key} is not a LaurentPoly: "
                                  f"{poly!r}")
-    lists = {p: _int_list_text(p) for p in parts}
-    tag = json.dumps(table.algorithm)
-    yield (f'{{\n  "format_version": {FORMAT_VERSION},\n'
-           f'  "n": {table.n},\n  "variable": "q",\n  "entries": [\n')
-    sep = ""
-    for (lam, mu), poly in zip(product(parts, repeat=2), polys):
-        yield sep + _ENTRY % (lists[lam], lists[mu], tag, _poly_text(poly))
-        sep = ",\n"
-    yield "\n  ]\n}\n"
+    p = len(parts)
+    yield from row_texts(table.n, table.algorithm, (
+        (lam, polys[i * p:(i + 1) * p]) for i, lam in enumerate(parts)))
 
 
 def dumps_table(table):
     """Canonical serialization; reading and re-writing is bit-exact."""
-    return "".join(_table_chunks(table))
+    return "".join(chain.from_iterable(_table_chunks(table)))
 
 
 def loads_table(text):
@@ -823,8 +907,10 @@ def loads_table(text):
     return document_to_table(doc)
 
 
-def save_table(table, path):
-    """Write atomically: a failed save leaves an existing file as it was.
+def write_atomic(path, texts):
+    """Write the strings ``texts`` to ``path`` atomically: a failed
+    write, or an exception from ``texts``, leaves an existing file as it
+    was and no temporary file behind.
 
     A file replaced keeps its mode bits; a new one gets the mode
     ``open(path, "w")`` would give it, 0o666 less the umask.  A symbolic
@@ -837,7 +923,7 @@ def save_table(table, path):
     fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
         with os.fdopen(fd, "w", encoding="utf-8") as fh:
-            fh.writelines(_table_chunks(table))
+            fh.writelines(texts)
             fh.flush()
             os.fsync(fh.fileno())
         try:
@@ -848,6 +934,12 @@ def save_table(table, path):
     finally:
         if os.path.exists(tmp):
             os.remove(tmp)
+
+
+def save_table(table, path):
+    """Write the table's canonical text to ``path`` by
+    :func:`write_atomic`, one row at a time."""
+    write_atomic(path, map("".join, _table_chunks(table)))
 
 
 def load_table(path):

@@ -1,8 +1,9 @@
 """Command-line interface.
 
 Subcommands: ``char`` (one character value), ``table`` (full table for a
-degree, printed or exported to a JSON file, with the fill and write
-times on stderr), ``bitrace`` and ``verify`` (invariant suites).
+degree, printed or exported to a JSON file row by row as the rows are
+computed, with the fill and write times on stderr), ``bitrace`` and
+``verify`` (invariant suites).
 
 Exit status 0 on success, 1 on verification failure (with a
 machine-readable JSON failure report on stdout), 2 on usage errors.
@@ -18,11 +19,12 @@ import sys
 import time
 
 from .partitions import (
-    format_partition, parse_composition, parse_partition, sort_to_partition,
+    format_partition, parse_composition, parse_partition, partitions_of,
+    sort_to_partition,
 )
 from .characters import (
-    ALGORITHM_NAMES, char_table, character, dumps_table, entry_document,
-    resolve_algorithm, save_table,
+    ALGORITHM_NAMES, character, entry_document, resolve_algorithm,
+    row_texts, table_rows, write_atomic,
 )
 from .applications import bitrace
 from .verify import SUITE_NAMES, run_suites
@@ -90,6 +92,25 @@ def _cmd_char(args):
     return 0
 
 
+class _FillClock:
+    """Iterates ``rows``, summing in ``seconds`` the time spent inside
+    the generator, so a fill streamed into its output is timed apart
+    from the formatting and writing."""
+
+    def __init__(self, rows):
+        self.rows = rows
+        self.seconds = 0.0
+
+    def __iter__(self):
+        while True:
+            start = time.perf_counter()
+            item = next(self.rows, None)
+            self.seconds += time.perf_counter() - start
+            if item is None:
+                return
+            yield item
+
+
 def _cmd_table(args):
     path = args.cache
     if path is not None:
@@ -101,26 +122,32 @@ def _cmd_table(args):
         if not path or os.path.isdir(path) or not os.path.isdir(parent):
             raise ValueError(f"cache path {path!r} is empty, is a directory "
                              "or lies in a directory that does not exist")
-    start = time.perf_counter()
-    table = char_table(args.n, algorithm=args.algorithm)
+    n, tag = args.n, resolve_algorithm(args.algorithm)
+    parts = partitions_of(n)
+    # each row is written as it comes: no table is ever held
+    rows = _FillClock(table_rows(n, tag))
     if path is not None:
-        filled = time.perf_counter()
-        save_table(table, path)
-        written = time.perf_counter()
-        print(f"wrote {len(table.entries)} entries to {path} "
-              f"(fill {filled - start:.3f} s, write {written - filled:.3f} s)",
-              file=sys.stderr)
-        return 0
-    if args.format == "json":
-        sys.stdout.write(dumps_table(table))
-        return 0
-    for (lam, mu), poly in table.entries.items():
-        if args.format == "latex":
-            print(f"\\chi^{{({format_partition(lam)})}}"
-                  f"_{{({format_partition(mu)})}}(q) = {poly.latex('q')}")
-        else:
-            print(f"{format_partition(lam)}\t{format_partition(mu)}\t"
-                  f"{poly.format('q')}")
+        start = time.perf_counter()
+        write_atomic(path, map("".join, row_texts(n, tag, rows)))
+        spent = time.perf_counter() - start
+        print(f"wrote {len(parts) ** 2} entries to {path} "
+              f"(fill {rows.seconds:.3f} s, "
+              f"write {spent - rows.seconds:.3f} s)", file=sys.stderr)
+    elif args.format == "json":
+        for pieces in row_texts(n, tag, rows):
+            sys.stdout.write("".join(pieces))
+    elif args.format == "latex":
+        for lam, row in rows:
+            head = f"\\chi^{{({format_partition(lam)})}}"
+            sys.stdout.write("".join(
+                f"{head}_{{({format_partition(mu)})}}(q) = {poly.latex('q')}\n"
+                for mu, poly in zip(parts, row)))
+    else:
+        for lam, row in rows:
+            head = f"{format_partition(lam)}\t"
+            sys.stdout.write("".join(
+                f"{head}{format_partition(mu)}\t{poly.format('q')}\n"
+                for mu, poly in zip(parts, row)))
     return 0
 
 

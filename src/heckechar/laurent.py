@@ -324,6 +324,26 @@ def digit_bits(norm):
     return (norm.bit_length() // 64 + 1) * 64
 
 
+def biased_digits(v, norm, bits, count=0):
+    """The balanced base-2^bits digits of ``v``, lowest first, each plus
+    2^(bits-1), so that a zero digit reads 2^(bits-1); at least
+    ``count`` of them.  ``norm`` bounds every digit as :func:`unpack`
+    says."""
+    half, width = 1 << (bits - 1), bits // 8
+    if norm >= half:
+        raise OverflowError(f"coefficient bound {norm} needs more than a "
+                            f"balanced {bits}-bit digit")
+    # adding 2^(bits-1) to every digit makes them all non-negative, so one
+    # conversion to bytes reads them all
+    size = max(abs(v).bit_length() // bits + 2, count)
+    biased = v + int.from_bytes((bytes(width - 1) + b"\x80") * size, "little")
+    raw = biased.to_bytes(width * size, "little")
+    if bits == 64:
+        return struct.unpack(f"<{size}Q", raw)
+    return [int.from_bytes(raw[i:i + width], "little")
+            for i in range(0, len(raw), width)]
+
+
 def unpack(v, norm, bits):
     """The polynomial p with ``pack(p, bits) == v``, given a bound
     ``norm`` on the absolute value of every coefficient (the L1 norm is
@@ -335,22 +355,10 @@ def unpack(v, norm, bits):
     raises OverflowError: a capacity limit of the packing, not an
     inexact division.
     """
-    half, width = 1 << (bits - 1), bits // 8
-    if norm >= half:
-        raise OverflowError(f"coefficient bound {norm} needs more than a "
-                            f"balanced {bits}-bit digit")
-    # adding 2^(bits-1) to every digit makes them all non-negative, so one
-    # conversion to bytes reads them all
-    size = abs(v).bit_length() // bits + 2
-    biased = v + int.from_bytes((bytes(width - 1) + b"\x80") * size, "little")
-    raw = biased.to_bytes(width * size, "little")
-    if bits == 64:
-        digits = struct.unpack(f"<{size}Q", raw)
-    else:
-        digits = [int.from_bytes(raw[i:i + width], "little")
-                  for i in range(0, len(raw), width)]
-    return LaurentPoly._raw({e: d - half
-                             for e, d in enumerate(digits) if d != half})
+    half = 1 << (bits - 1)
+    return LaurentPoly._raw({e: d - half for e, d in
+                             enumerate(biased_digits(v, norm, bits))
+                             if d != half})
 
 
 def _divmod_honest(a, b):

@@ -14,7 +14,7 @@ import pytest
 from heckechar import characters, schur, verify
 from heckechar.characters import ALGORITHMS
 from heckechar.laurent import ONE, T, ExactnessError, RationalFn
-from heckechar.partitions import clear_caches
+from heckechar.partitions import clear_caches, partitions_of
 
 N_MAX = 8
 
@@ -141,13 +141,15 @@ def test_table_agreement_names_a_broken_row_value(monkeypatch):
     right = characters._mn_rows
 
     def broken(n, bound, bits):
-        read = right(n, bound, bits)
+        packed = right(n, bound, bits)
 
         def row(lam):
-            values = read(lam)
+            v = packed(lam)
             if lam == (3, 1):
-                values[2] += ONE    # at mu = (2, 2)
-            return values
+                # one more at q^0 of the packed row's slot for mu = (2, 2)
+                parts = partitions_of(4)
+                v += 1 << bits * 4 * (len(parts) - 1 - parts.index((2, 2)))
+            return v
         return row
 
     monkeypatch.setattr(characters, "_mn_rows", broken)

@@ -16,7 +16,8 @@ from heckechar.laurent import (
     monomial, pack, unpack,
 )
 from heckechar.partitions import (
-    format_partition, partitions_of, strip_removals, sub_compositions,
+    conjugate, format_partition, partitions_of, strip_removals,
+    sub_compositions,
 )
 from heckechar.schur import classical_character, pairing_polynomial
 from heckechar import characters, partitions
@@ -479,13 +480,13 @@ def test_table_probe_catches_a_broken_mirror(monkeypatch):
     right = characters._mn_rows
 
     def broken(n, bound, bits):
-        read = right(n, bound, bits)
+        packed = right(n, bound, bits)
+        # one more at q^0 of the packed row's slot for mu = (4,), the last
+        slot = len(partitions_of(n)) - 1
 
         def row(lam):
-            values = read(lam)
-            if lam == (3, 1):
-                values[0] += ONE
-            return values
+            v = packed(lam)
+            return v + (1 << bits * n * slot) if lam == (3, 1) else v
         return row
 
     with monkeypatch.context() as m:
@@ -513,14 +514,19 @@ def test_table_probe_catches_a_broken_mirror_per_entry(monkeypatch):
 def test_rows_read_the_same_at_wider_digits():
     # the row engine at 64, 128 and 192 bits reads back the same values,
     # as it must past a 2^63 bound, which no table within reach needs;
-    # they are the per-value recursion's values, column by column
+    # they are the per-value recursion's values, column by column, and
+    # each row read mirrored is its conjugate's row
     for n in range(0, 9):
         parts = partitions_of(n)
         bound = characters._table_bound(n)
-        want = [[character(lam, mu) for mu in parts] for lam in parts]
+        want = {lam: [character(lam, mu) for mu in parts] for lam in parts}
         for bits in (64, 128, 192):
-            read = characters._mn_rows(n, bound, bits)
-            assert [read(lam) for lam in parts] == want, (n, bits)
+            packed = characters._mn_rows(n, bound, bits)
+            read = characters._row_reader(n, bound, bits)
+            for lam in parts:
+                assert read(packed(lam), False) == want[lam], (n, bits, lam)
+                assert read(packed(lam), True) == want[conjugate(lam)], \
+                    (n, bits, lam)
 
 
 def test_table_bound_holds_every_entry_bound():

@@ -1,5 +1,9 @@
 import json
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -8,7 +12,10 @@ from heckechar.characters import (
     ALGORITHMS, char_table, clear_caches, dumps_table, loads_table,
 )
 from heckechar.laurent import ONE
+from heckechar.partitions import format_partition
 from heckechar.verify import suite_cross
+
+SRC = str(Path(__file__).resolve().parent.parent / "src")
 
 
 def run(capsys, *argv):
@@ -117,10 +124,10 @@ def test_table_ignores_cache_env(tmp_path, capsys, monkeypatch):
 def test_table_cache_path_checked_before_fill(tmp_path, capsys, monkeypatch,
                                               where):
     # a cache path that cannot be written is a usage error, caught before
-    # the table is filled
+    # the row generator is even called
     filled = []
-    monkeypatch.setattr("heckechar.cli.char_table",
-                        lambda *args, **kwargs: filled.append(args))
+    monkeypatch.setattr("heckechar.cli.table_rows",
+                        lambda *args: filled.append(args) or iter(()))
     path = "" if where is None else str(tmp_path / where)
     with pytest.raises(SystemExit) as exc:
         main(["table", "--n", "14", "--cache", path])
@@ -135,22 +142,99 @@ def test_table_cache_path_checked_before_fill(tmp_path, capsys, monkeypatch,
 def test_table_cache_refuses_a_text_format(tmp_path, capsys, monkeypatch,
                                            fmt):
     # --cache writes JSON: another --format is a usage error, caught
-    # before the fill, and no file is written
+    # before the row generator is even called, and no file is written
     filled = []
-    monkeypatch.setattr("heckechar.cli.char_table",
-                        lambda *args, **kwargs: filled.append(args))
+    monkeypatch.setattr("heckechar.cli.table_rows",
+                        lambda *args: filled.append(args) or iter(()))
     path = tmp_path / "t.json"
     with pytest.raises(SystemExit) as exc:
         main(["table", "--n", "3", "--format", fmt, "--cache", str(path)])
     assert exc.value.code == 2
     assert filled == []
     assert list(tmp_path.iterdir()) == []
+    # the patched name is the one the command calls
+    run(capsys, "table", "--n", "3", "--format", "json")
+    assert filled == [(3, "mn")]
     monkeypatch.undo()
     # --format json names the format --cache writes, byte for byte
     code, out, _ = run(capsys, "table", "--n", "3", "--format", "json",
                        "--cache", str(path))
     assert code == 0 and out == ""
     assert path.read_text() == dumps_table(char_table(3))
+
+
+STREAMED_ROUTES = ("auto", "mn", "strips", "det", "iterative", "oracle",
+                   "gen_sn", "gen_newton")
+
+
+@pytest.mark.parametrize("algorithm, n", [
+    (algorithm, n) for algorithm in STREAMED_ROUTES for n in range(8)] + [
+    ("mn", 12)])
+def test_streamed_table_is_the_filled_table(tmp_path, capsys, algorithm, n):
+    # the CLI writes each row as it comes, never a CharTable; the file
+    # and stdout are the bytes of the filled table all the same
+    want = dumps_table(char_table(n, algorithm))
+    path = tmp_path / "t.json"
+    code, out, _ = run(capsys, "table", "--n", str(n), "--algorithm",
+                       algorithm, "--cache", str(path))
+    assert code == 0 and out == ""
+    assert path.read_text(encoding="utf-8") == want
+    code, out, _ = run(capsys, "table", "--n", str(n), "--algorithm",
+                       algorithm, "--format", "json")
+    assert code == 0 and out == want
+
+
+@pytest.mark.parametrize("n", [0, 1, 5, 7])
+def test_streamed_text_lines_are_the_entries(capsys, n):
+    # plain and latex print one line per entry of char_table(n), in order
+    entries = char_table(n).entries.items()
+    code, out, _ = run(capsys, "table", "--n", str(n))
+    assert code == 0
+    assert out.splitlines() == [
+        f"{format_partition(lam)}\t{format_partition(mu)}\t{poly.format('q')}"
+        for (lam, mu), poly in entries]
+    code, out, _ = run(capsys, "table", "--n", str(n), "--format", "latex")
+    assert code == 0
+    assert out.splitlines() == [
+        f"\\chi^{{({format_partition(lam)})}}"
+        f"_{{({format_partition(mu)})}}(q) = {poly.latex('q')}"
+        for (lam, mu), poly in entries]
+
+
+BROKEN_SEAM = """
+import sys
+from heckechar import characters
+from heckechar.cli import console_main
+
+right = characters._mn_rows
+
+def broken(n, bound, bits):
+    packed = right(n, bound, bits)
+    # one more at q^0 of mu = (4,), the last slot, in the row of (3, 1),
+    # which is mirrored into (2, 1, 1), the fourth of the five rows
+    return lambda lam: packed(lam) + (
+        1 << bits * n * 4 if lam == (3, 1) else 0)
+
+characters._mn_rows = broken
+sys.argv = ["heckechar"] + sys.argv[1:]
+console_main()
+"""
+
+
+def test_mirror_failure_mid_stream_keeps_the_old_file(tmp_path):
+    # three rows are written before the probe at (2, 1, 1) fails; the
+    # process exits non-zero and the file it was to replace is untouched
+    path = tmp_path / "t4.json"
+    path.write_bytes(b"old bytes")
+    env = dict(os.environ, PYTHONPATH=SRC)
+    done = subprocess.run(
+        [sys.executable, "-c", BROKEN_SEAM, "table", "--n", "4", "--cache",
+         str(path)], env=env, capture_output=True, text=True, timeout=60)
+    assert done.returncode != 0
+    assert "ExactnessError" in done.stderr
+    assert "lambda=(2, 1, 1), mu=(4,)" in done.stderr
+    assert path.read_bytes() == b"old bytes"
+    assert [p.name for p in tmp_path.iterdir()] == ["t4.json"]
 
 
 def test_bitrace_command(capsys):

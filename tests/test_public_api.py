@@ -2,6 +2,11 @@
 and every callable in it raises ValueError for malformed input, also
 right after a good call has filled its memos."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 import heckechar
@@ -145,3 +150,40 @@ def test_laurent_exponents_and_terms_are_ints():
                    lambda: T.coeff(bad)):
             with pytest.raises(ValueError):
                 op()
+
+
+def test_import_leaves_dataclasses_out():
+    # dataclasses pulls in inspect, ast and dis; a plain CharTable keeps
+    # the package's cold start clear of them
+    src = Path(__file__).resolve().parent.parent / "src"
+    done = subprocess.run(
+        [sys.executable, "-c", "import sys, heckechar; "
+         "print(sorted({'dataclasses', 'inspect', 'ast', 'dis'} & "
+         "set(sys.modules)))"],
+        env=dict(os.environ, PYTHONPATH=str(src)), capture_output=True,
+        text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "[]\n"
+
+
+def test_char_table_compares_like_a_dataclass():
+    # equal field by field, repr of the three fields, and no hash
+    a = CharTable(2)
+    assert a.entries == {} and a.algorithm == "unknown"
+    assert CharTable(2).entries is not a.entries
+    one = {((1,), (1,)): heckechar.LaurentPoly({0: 1})}
+    b = CharTable(1, one, "mn")
+    assert b == CharTable(n=1, entries=dict(one), algorithm="mn")
+    assert b != CharTable(1, one) and b != CharTable(2, one, "mn")
+    assert b != CharTable(1, {}, "mn")
+    assert (b == (1, one, "mn")) is False
+    assert b.__eq__((1, one, "mn")) is NotImplemented
+    assert repr(a) == "CharTable(n=2, entries={}, algorithm='unknown')"
+    assert repr(b) == ("CharTable(n=1, entries={((1,), (1,)): "
+                       "LaurentPoly<1>}, algorithm='mn')")
+    with pytest.raises(TypeError):
+        hash(a)
+    # the same values on another route make another table: the tag differs
+    mn, strips = heckechar.char_table(3), heckechar.char_table(3, "strips")
+    assert mn == heckechar.char_table(3) and mn.entries == strips.entries
+    assert mn != strips
