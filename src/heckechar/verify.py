@@ -3,14 +3,16 @@
 Each check sweeps one family of identities up to a degree bound and
 returns the counterexamples it finds, as JSON-ready dicts naming the
 check and the indices (an empty list means it passed).  The checks are
-grouped into the suites that ``heckechar verify`` runs (``SUITES``); the
-acceptance gate in ``tests/test_acceptance.py`` runs every check at
-``n_max=8``, and CI runs ``cross`` and ``classical`` at n_max = 11 and
-``tables`` at n_max = 20, so this module is the one place the identities
-and the comparisons of routes are written down.  ``tables`` compares the
+grouped into the suites that ``heckechar verify`` runs (``SUITES`` maps
+each suite to its tuple of checks); the acceptance gate in
+``tests/test_acceptance.py`` runs every check at ``n_max=8``, and CI runs
+``cross``, ``classical`` and ``apps`` at n_max = 11 and ``tables`` at
+n_max = 20, so this module is the one place the identities and the
+comparisons of routes are written down.  ``tables`` compares the
 independent routes with mn where ``cross`` stops comparing all seven: whole
 tables up to n = 16, six fixed single values, and seeded pairs up to
-n_max.
+n_max; it also checks the columns 1^n and (n) against closed forms that
+do not come from mn.
 """
 
 from __future__ import annotations
@@ -243,12 +245,6 @@ def check_conjugation_duality(n_max=5):
     return failures
 
 
-def suite_cross(n_max=5):
-    """Cross-algorithm agreement plus the structural identities."""
-    return (check_agreement(n_max) + check_closed_forms(n_max)
-            + check_identities(n_max) + check_conjugation_duality(n_max))
-
-
 def check_row_column_laws(n_max=5):
     """The one-row and one-column characters, as the default route (the
     strip recursion) computes them, are signed monomials."""
@@ -318,14 +314,6 @@ def check_special_columns(n_max=5):
     return failures
 
 
-def suite_classical(n_max=5):
-    """One-row/one-column laws, the q = 1 specialization, the classical
-    column orthogonality and the columns 1^n and (n) in closed form."""
-    return (check_row_column_laws(n_max) + check_q1(n_max)
-            + check_classical_orthogonality(n_max)
-            + check_special_columns(n_max))
-
-
 def check_supercharacters(n_max=5):
     """Supercharacter closed forms equal their defining sums (n <= 7)."""
     failures = []
@@ -341,26 +329,22 @@ def check_supercharacters(n_max=5):
 
 def check_bitrace(n_max=5):
     """Both bitrace routes agree, are symmetric and orthogonal at q = 1
-    on every pair of partitions of n <= min(n_max, 6)."""
+    on every pair of partitions of n <= min(n_max, 8).  Each matrices
+    bitrace is computed once, and its symmetry partner read back."""
     failures = []
-    for n in range(1, min(n_max, 6) + 1):
-        for lam in partitions_of(n):
-            for mu in partitions_of(n):
-                viaM = bitrace(lam, mu, "matrices")
-                viaC = bitrace(lam, mu, "char_sum")
-                if viaM != viaC:
-                    _fail(failures, check="bitrace_agreement", lam=lam, mu=mu)
-                if viaM != bitrace(mu, lam, "matrices"):
-                    _fail(failures, check="bitrace_symmetry", lam=lam, mu=mu)
-                expected = centralizer_order(lam) if lam == mu else 0
-                if viaM.evaluate_at_one() != expected:
-                    _fail(failures, check="bitrace_q1", lam=lam, mu=mu)
+    for n in range(1, min(n_max, 8) + 1):
+        parts = partitions_of(n)
+        via_m = {(lam, mu): bitrace(lam, mu, "matrices")
+                 for lam in parts for mu in parts}
+        for (lam, mu), value in via_m.items():
+            if value != bitrace(lam, mu, "char_sum"):
+                _fail(failures, check="bitrace_agreement", lam=lam, mu=mu)
+            if value != via_m[mu, lam]:
+                _fail(failures, check="bitrace_symmetry", lam=lam, mu=mu)
+            expected = centralizer_order(lam) if lam == mu else 0
+            if value.evaluate_at_one() != expected:
+                _fail(failures, check="bitrace_q1", lam=lam, mu=mu)
     return failures
-
-
-def suite_apps(n_max=5):
-    """Supercharacter identities and the bitrace cross-checks."""
-    return check_supercharacters(n_max) + check_bitrace(n_max)
 
 
 # each route's whole table is compared with the default table at every
@@ -398,11 +382,14 @@ def check_tables(n_max=5):
       ``_SEEDED_ALGS``.
 
     A table on another route computes the rows with lam >= lam' on that
-    route and mirrors the others through the same ``_mirror`` as the
-    default table, so a whole table checks its computed half
-    independently.  The mirror itself is checked by its probe at
-    mu = (n) in every table, and by check_agreement's comparison of
-    char_table(n) with values computed one at a time up to n = 11.
+    route and mirrors the others through ``_mirror``; the default table
+    reads its mirrored rows from the held rows' packed digits
+    (``_row_reader``).  So a whole table checks its computed half
+    independently, and its mirrored half also checks the mn mirror
+    against ``_mirror``.  Each mirror is also checked by its probe at
+    mu = (n) in every table, and the mn one by check_agreement's
+    comparison of char_table(n) with values computed one at a time up to
+    n = 11.
     """
     failures = []
 
@@ -436,11 +423,13 @@ def check_tables(n_max=5):
 
 
 SUITES = {
-    "golden": suite_golden,
-    "cross": suite_cross,
-    "classical": suite_classical,
-    "apps": suite_apps,
-    "tables": check_tables,
+    "golden": (suite_golden,),
+    "cross": (check_agreement, check_closed_forms, check_identities,
+              check_conjugation_duality),
+    "classical": (check_row_column_laws, check_q1,
+                  check_classical_orthogonality),
+    "apps": (check_supercharacters, check_bitrace),
+    "tables": (check_tables, check_special_columns),
 }
 
 SUITE_NAMES = tuple(SUITES)
@@ -457,4 +446,6 @@ def run_suites(names, n_max=5):
     for name in names:
         if name not in SUITES:
             raise ValueError(f"unknown suite {name!r}")
-    return {name: SUITES[name](n_max) for name in names}
+    return {name: [failure for check in SUITES[name]
+                   for failure in check(n_max)]
+            for name in names}

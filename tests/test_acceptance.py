@@ -11,7 +11,7 @@ import time
 
 import pytest
 
-from heckechar import characters, schur, verify
+from heckechar import applications, characters, schur, verify
 from heckechar.characters import ALGORITHMS
 from heckechar.laurent import ONE, T, ExactnessError, RationalFn
 from heckechar.partitions import clear_caches, partitions_of
@@ -211,6 +211,42 @@ def test_special_columns_name_a_broken_value(monkeypatch):
     assert [(tuple(f["lam"]), tuple(f["mu"]), f["expected"])
             for f in failures] == [((3, 1), (4,), "-q^2"),
                                    ((2, 2), (1, 1, 1, 1), "2")]
+
+
+def test_tables_suite_names_a_broken_special_column(monkeypatch):
+    # negative control: the special columns run in the tables suite, so
+    # one wrong value of the mn route at (4) is reported there, and
+    # nothing else fails
+    mn = ALGORITHMS["mn"]
+
+    def broken(lam, mu):
+        value = mn(lam, mu)
+        return value + ONE if (lam, mu) == ((3, 1), (4,)) else value
+
+    monkeypatch.setitem(ALGORITHMS, "mn", broken)
+    assert verify.run_suites(("tables",), 4) == {"tables": [
+        {"check": "special_column", "lam": [3, 1], "mu": [4],
+         "got": "1 + -q^2", "expected": "-q^2"}]}
+
+
+def test_bitrace_names_a_broken_matrix_sum(monkeypatch):
+    # negative control: the matrix sum of one pair at n = 7 times q, so
+    # that its bitrace keeps its value at q = 1; the check names that
+    # pair, where the two routes differ, and both its orders, where the
+    # symmetry partner read back differs
+    right = applications.gram_pairing
+    lam, mu = (4, 2, 1), (3, 3, 1)
+
+    def broken(a, b):
+        value = right(a, b)
+        return value * T if (a, b) == (lam, mu) else value
+
+    monkeypatch.setattr(applications, "gram_pairing", broken)
+    failures = verify.check_bitrace(7)
+    assert [(f["check"], tuple(f["lam"]), tuple(f["mu"]))
+            for f in failures] == [("bitrace_agreement", lam, mu),
+                                   ("bitrace_symmetry", lam, mu),
+                                   ("bitrace_symmetry", mu, lam)]
 
 
 def test_strip_counts_name_a_miscounted_strip(monkeypatch):

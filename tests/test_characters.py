@@ -566,6 +566,21 @@ def test_wide_bound_reads_wider_digits():
     assert character(lam, mixed) == reference(lam, mixed)
 
 
+def test_widest_bound_reads_192_bit_digits():
+    # at 9^9 and 1^81 the bound, f^lam, has 158 bits, so the value is
+    # read from 192-bit digits; it must equal f^lam by the hook-length
+    # formula
+    lam, ones = (9,) * 9, (1,) * 81
+    assert digit_bits(characters._chi_bound(lam, ones)) == 192
+    f = math.factorial(81) // math.prod(i + j + 1 for i in range(9)
+                                        for j in range(9))
+    clear_caches()
+    try:
+        assert character(lam, ones) == f * ONE
+    finally:
+        clear_caches()
+
+
 def l1_norm(poly):
     return sum(map(abs, poly.terms.values()))
 

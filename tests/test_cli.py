@@ -9,11 +9,12 @@ import pytest
 
 from heckechar.cli import main
 from heckechar.characters import (
-    ALGORITHMS, char_table, clear_caches, dumps_table, loads_table,
+    ALGORITHMS, char_table, clear_caches, dumps_table, load_table,
+    loads_table,
 )
 from heckechar.laurent import ONE
 from heckechar.partitions import format_partition
-from heckechar.verify import suite_cross
+from heckechar.verify import run_suites
 
 SRC = str(Path(__file__).resolve().parent.parent / "src")
 
@@ -84,6 +85,15 @@ def test_table_json_round_trips(capsys):
     assert dumps_table(table) == out
     assert table.n == 3
     assert len(table.entries) == 9
+
+
+def test_table_cache_file_reads_back_byte_for_byte(capsys, tmp_path):
+    # the file writer and the file reader at n = 12, where the default
+    # table holds 77 * 77 entries
+    path = tmp_path / "t12.json"
+    code, _, _ = run(capsys, "table", "--n", "12", "--cache", str(path))
+    assert code == 0
+    assert dumps_table(load_table(path)).encode() == path.read_bytes()
 
 
 def test_table_plain(capsys):
@@ -282,7 +292,7 @@ def broken_strips_route(monkeypatch):
 
 
 def test_verify_reports_counterexample(capsys, broken_strips_route):
-    failures = suite_cross(2)
+    failures = run_suites(("cross",), 2)["cross"]
     assert {"check": "algorithm_agreement", "lam": [2], "mu": [1, 1],
             "algorithm": "strips", "got": "2", "expected": "1"} in failures
     code, out, _ = run(capsys, "verify", "--n-max", "2", "--suites",
