@@ -169,8 +169,11 @@ def broken_strip_weight(k, m, j):
 
 
 @cached
-def _packed_weight(k, m, j, bits):
-    return pack(broken_strip_weight(k, m, j), bits)
+def _packed_base(j, s, bits):
+    # (t-1)^j * t^s at 2^bits.  mn's weight broken_strip_weight(k, m, i)
+    # is (-1)^i times it at j = m - 1, s = k - m - i; the first row's
+    # weights of both reductions are (1 - 1/t)^j = (t-1)^j * t^-j
+    return pack(_qm1_pow(j).shift(s), bits)
 
 
 @cached
@@ -184,7 +187,8 @@ def _mn_cached(lam, mu, bits):
     for nu, m, j in strip_removals(lam, k):
         sub = _mn_cached(nu, rest, bits)
         if sub:
-            v += _packed_weight(k, m, j, bits) * sub
+            w = _packed_base(m - 1, k - m - j, bits) * sub
+            v = v - w if j % 2 else v + w
     return v
 
 
@@ -204,7 +208,7 @@ def _table_bound(n):
     return max(_chi_bound(lam, parts[0]) for lam in parts)
 
 
-def _mn_rows(n, bound, bits):
+def _mn_rows(n, bits):
     """The function taking a partition lam of n to its row of mn values
     at ``partitions_of(n)``, every column in one packed int, which
     :func:`_row_reader` reads.
@@ -212,8 +216,9 @@ def _mn_rows(n, bound, bits):
     A row is packed in two variables: q = 2^bits inside a slot, and one
     slot of n digits per mu, the mu in ascending lexicographic order.  A
     value has degree at most n - len(mu) < n, so the row is one
-    polynomial in q, its coefficients bounded by ``bound``: digit i is
-    the coefficient of q^(i mod n) in slot i // n.
+    polynomial in q, its coefficients bounded by :func:`_table_bound`,
+    which ``bits`` must hold: digit i is the coefficient of q^(i mod n)
+    in slot i // n.
 
     The partitions of m with parts <= c, in that order, are those with
     first part 1, then 2, ..., c, and those with first part k are k
@@ -237,7 +242,8 @@ def _mn_rows(n, bound, bits):
     def block(nu, k):
         v = 0
         for rest, m, j in strip_removals(nu, k):
-            v += _packed_weight(k, m, j, bits) * row(rest, k)
+            w = _packed_base(m - 1, k - m - j, bits) * row(rest, k)
+            v = v - w if j % 2 else v + w
         return v
 
     def memo_block(nu, k):
@@ -308,7 +314,8 @@ def _row_reader(n, bound, bits):
 # division by the packed divisor, _quotient.  The sum is chi times the
 # divisor, so _chi_bound times the divisor's L1 norm fixes bits.  Every
 # packed constant and inner sum is memoised per width; the first row's
-# weights of both come from one table, _packed_base.
+# weights of both come from one table, _packed_base, which also holds
+# mn's strip weights.
 
 
 def _quotient(total, divisor, bound, bits):
@@ -378,13 +385,6 @@ def _sn_numerator(tail, nu, z, fact):
             chi = -chi
         numer += chi * (fact // (z * centralizer_order(rho)))
     return numer
-
-
-@cached
-def _packed_base(j, s, bits):
-    # (t-1)^j * t^s at 2^bits, the first row's weights of both reductions:
-    # (1 - 1/t)^j = (t-1)^j * t^-j
-    return pack(_qm1_pow(j).shift(s), bits)
 
 
 @cached
@@ -667,7 +667,7 @@ def table_rows(n, tag):
     if tag == "mn":
         bound = _table_bound(n)
         bits = digit_bits(bound)
-        fill, read = _mn_rows(n, bound, bits), _row_reader(n, bound, bits)
+        fill, read = _mn_rows(n, bits), _row_reader(n, bound, bits)
     else:
         shifts = [n - len(mu) for mu in parts]
 

@@ -112,11 +112,6 @@ class LaurentPoly:
         """True when no negative exponents occur."""
         return all(e >= 0 for e in self.terms)
 
-    def constant_value(self):
-        if not self.is_constant():
-            raise ValueError("not a constant")
-        return self.terms.get(0, 0)
-
     def min_exp(self):
         if not self.terms:
             raise ValueError("zero polynomial has no exponents")

@@ -35,9 +35,10 @@ def test_criterion_1_golden_paper_values():
 
 
 def test_criterion_2_closed_form_laws():
-    _gate(2, "one-row and one-column laws, columns 1^n and (n), n <= 8",
-          lambda n: (verify.check_row_column_laws(n)
-                     + verify.check_special_columns(n)))
+    # the one-row and one-column laws are the closed forms criterion 5
+    # compares with the recursion
+    _gate(2, "columns 1^n and (n) in closed form, n <= 8",
+          verify.check_special_columns)
 
 
 def test_criterion_3_cross_algorithm_agreement():
@@ -101,6 +102,19 @@ def test_criterion_11_route_tables():
           "default table, n <= 8", verify.check_tables)
 
 
+def test_expect_reports_both_values_in_the_named_variable():
+    # every check reports through _expect: a match appends nothing, and a
+    # mismatch names the indices (tuples as lists) and both values, a
+    # polynomial printed in the variable the check names
+    failures = []
+    assert verify._expect(failures, "same", ONE, ONE, mu=(2, 1))
+    assert not verify._expect(failures, "poly", T, ONE, var="t", mu=(2, 1))
+    assert not verify._expect(failures, "ints", 3, 2, rho=(1, 1))
+    assert failures == [
+        {"check": "poly", "mu": [2, 1], "got": "t", "expected": "1"},
+        {"check": "ints", "rho": [1, 1], "got": 3, "expected": 2}]
+
+
 def test_route_tables_name_a_broken_computed_value(monkeypatch):
     # negative control: one wrong value of the strips route in a row its
     # table computes, away from the column (4) where the mirror probe
@@ -140,8 +154,8 @@ def test_table_agreement_names_a_broken_row_value(monkeypatch):
     # checks, reaches that row and its mirror, and the check names both
     right = characters._mn_rows
 
-    def broken(n, bound, bits):
-        packed = right(n, bound, bits)
+    def broken(n, bits):
+        packed = right(n, bits)
 
         def row(lam):
             v = packed(lam)
@@ -232,8 +246,10 @@ def test_tables_suite_names_a_broken_special_column(monkeypatch):
 def test_bitrace_names_a_broken_matrix_sum(monkeypatch):
     # negative control: the matrix sum of one pair at n = 7 times q, so
     # that its bitrace keeps its value at q = 1; the check names that
-    # pair, where the two routes differ, and both its orders, where the
-    # symmetry partner read back differs
+    # pair, where the matrices bitrace differs from the character sum
+    # and from bitrace_via_gram (which reads the sum with q inverted, so
+    # is off by 1/q), and both its orders, where the symmetry partner
+    # read back differs; each failure shows both values
     right = applications.gram_pairing
     lam, mu = (4, 2, 1), (3, 3, 1)
 
@@ -245,8 +261,11 @@ def test_bitrace_names_a_broken_matrix_sum(monkeypatch):
     failures = verify.check_bitrace(7)
     assert [(f["check"], tuple(f["lam"]), tuple(f["mu"]))
             for f in failures] == [("bitrace_agreement", lam, mu),
+                                   ("bitrace_via_gram", lam, mu),
                                    ("bitrace_symmetry", lam, mu),
                                    ("bitrace_symmetry", mu, lam)]
+    assert all(isinstance(f["got"], str) and isinstance(f["expected"], str)
+               and f["got"] != f["expected"] for f in failures)
 
 
 def test_strip_counts_name_a_miscounted_strip(monkeypatch):

@@ -25,7 +25,7 @@ from heckechar.characters import (
     ALGORITHMS, ALGORITHM_NAMES, CharTable, char_table, character,
     document_to_table, dumps_table, entry_document, hook_weights,
     loads_table, normalize_g_to_chi, resolve_algorithm, _v_product, two_row_cumulative, two_row_weights, broken_strip_weight,
-    _mn_cached, _packed_weight, clear_caches,
+    _mn_cached, _packed_base, clear_caches,
 )
 
 from oracles import (
@@ -403,6 +403,7 @@ def test_small_tables():
 
 def test_packed_strip_weights_are_the_strip_weights():
     # the packed recursion multiplies by exactly the weight verify checks,
+    # the entry of _packed_base at (m - 1, k - m - j) signed by (-1)^j,
     # and each weight has the L1 norm 2^(m-1), m <= k, that the closed-form
     # bound counts
     for n in range(1, 9):
@@ -410,7 +411,8 @@ def test_packed_strip_weights_are_the_strip_weights():
             for k in range(1, n + 1):
                 for _, m, j in strip_removals(lam, k):
                     poly = broken_strip_weight(k, m, j)
-                    assert _packed_weight(k, m, j, 64) == pack(poly, 64)
+                    base = _packed_base(m - 1, k - m - j, 64)
+                    assert (-base if j % 2 else base) == pack(poly, 64)
                     assert l1_norm(poly) == 2 ** (m - 1) and m <= k
 
 
@@ -479,8 +481,8 @@ def test_table_probe_catches_a_broken_mirror(monkeypatch):
     clear_caches()
     right = characters._mn_rows
 
-    def broken(n, bound, bits):
-        packed = right(n, bound, bits)
+    def broken(n, bits):
+        packed = right(n, bits)
         # one more at q^0 of the packed row's slot for mu = (4,), the last
         slot = len(partitions_of(n)) - 1
 
@@ -521,7 +523,7 @@ def test_rows_read_the_same_at_wider_digits():
         bound = characters._table_bound(n)
         want = {lam: [character(lam, mu) for mu in parts] for lam in parts}
         for bits in (64, 128, 192):
-            packed = characters._mn_rows(n, bound, bits)
+            packed = characters._mn_rows(n, bits)
             read = characters._row_reader(n, bound, bits)
             for lam in parts:
                 assert read(packed(lam), False) == want[lam], (n, bits, lam)

@@ -218,8 +218,8 @@ from heckechar.cli import console_main
 
 right = characters._mn_rows
 
-def broken(n, bound, bits):
-    packed = right(n, bound, bits)
+def broken(n, bits):
+    packed = right(n, bits)
     # one more at q^0 of mu = (4,), the last slot, in the row of (3, 1),
     # which is mirrored into (2, 1, 1), the fourth of the five rows
     return lambda lam: packed(lam) + (
