@@ -11,7 +11,7 @@ from __future__ import annotations
 from collections import Counter
 from math import prod
 
-from .laurent import ZERO, ONE, T, LaurentPoly
+from .laurent import ZERO, ONE, T, LaurentPoly, _fold_product
 from .partitions import (
     cached, check_composition, check_weights, contingency_matrices,
     partitions_of, sort_to_partition, weight,
@@ -100,10 +100,11 @@ def gram_pairing(lam, mu):
     check_weights(lam, mu)
     counts = Counter(tuple(sorted(e for row in matrix for e in row if e))
                      for matrix in contingency_matrices(lam, mu))
-    total = ZERO
+    total = {}
     for entries, count in counts.items():
-        total = total + prod(map(entry_weight, entries), start=ONE) * count
-    return total
+        _fold_product(total, prod(map(entry_weight, entries), start=ONE).terms,
+                      {0: count})
+    return LaurentPoly._sum(total)
 
 
 def _bitrace_indices(lam, mu):

@@ -40,10 +40,10 @@ import json
 import os
 import stat
 from itertools import chain, product, repeat
-from math import factorial, prod
+from math import comb, factorial, prod
 
 from .laurent import (
-    ZERO, ONE, T, ExactnessError, LaurentPoly, biased_digits, digit_bits,
+    ZERO, ONE, ExactnessError, LaurentPoly, biased_digits, digit_bits,
     monomial, pack, unpack,
 )
 # clear_caches is re-exported: the benchmark calls it from here
@@ -60,13 +60,14 @@ from .schur import (
 # this module's memos; the benchmark tracer's memo_sizes reads the view
 _CACHES = MEMOS.setdefault(__name__, [])
 
-T_MINUS_ONE = T - ONE
 ONE_MINUS_TINV = ONE - monomial(1, -1)
 
 
 @cached
 def _qm1_pow(j):
-    return T_MINUS_ONE ** j
+    # (t - 1)^j = sum_k (-1)^(j-k) C(j, k) t^k, written out
+    return LaurentPoly._raw({k: -comb(j, k) if (j - k) % 2 else comb(j, k)
+                             for k in range(j + 1)})
 
 
 @cached

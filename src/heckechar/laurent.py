@@ -63,6 +63,11 @@ class LaurentPoly:
         return self
 
     @classmethod
+    def _sum(cls, terms):
+        # trusted constructor for a sum folded in place: drops zero sums
+        return cls._raw({e: c for e, c in terms.items() if c})
+
+    @classmethod
     def const(cls, c):
         if type(c) is not int:
             raise ValueError(f"not an int constant: {c!r}")
@@ -144,13 +149,17 @@ class LaurentPoly:
             other = LaurentPoly.const(other)
         elif not isinstance(other, LaurentPoly):
             return NotImplemented
-        out = dict(self.terms)
-        for e, c in other.terms.items():
+        # copy the larger map and fold the smaller one in
+        big, small = self.terms, other.terms
+        if len(big) < len(small):
+            big, small = small, big
+        out = dict(big)
+        for e, c in small.items():
             s = out.get(e, 0) + c
             if s:
                 out[e] = s
             else:
-                out.pop(e, None)
+                del out[e]
         return LaurentPoly._raw(out)
 
     __radd__ = __add__
@@ -163,7 +172,14 @@ class LaurentPoly:
             other = LaurentPoly.const(other)
         elif not isinstance(other, LaurentPoly):
             return NotImplemented
-        return self + (-other)
+        out = dict(self.terms)
+        for e, c in other.terms.items():
+            s = out.get(e, 0) - c
+            if s:
+                out[e] = s
+            else:
+                del out[e]
+        return LaurentPoly._raw(out)
 
     def __rsub__(self, other):
         return (-self) + other
@@ -177,16 +193,16 @@ class LaurentPoly:
             if isinstance(other, int):  # a bool: not an int, as in const
                 raise ValueError(f"not an int factor: {other!r}")
             return NotImplemented
+        big, small = self.terms, other.terms
+        if len(big) < len(small):
+            big, small = small, big
+        if len(small) == 1:
+            # a one-term operand is a shift and a scale
+            (k, a), = small.items()
+            return LaurentPoly._raw({e + k: c * a for e, c in big.items()})
         out = {}
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                e = e1 + e2
-                s = out.get(e, 0) + c1 * c2
-                if s:
-                    out[e] = s
-                else:
-                    del out[e]
-        return LaurentPoly._raw(out)
+        _fold_product(out, big, small)
+        return LaurentPoly._sum(out)
 
     __rmul__ = __mul__
 
@@ -203,14 +219,21 @@ class LaurentPoly:
         return result
 
     def __eq__(self, other):
-        if isinstance(other, int):
+        # a bool is not an int here, as in const
+        if type(other) is int:
             return self.terms == ({0: other} if other else {})
         if not isinstance(other, LaurentPoly):
             return NotImplemented
         return self.terms == other.terms
 
     def __hash__(self):
-        return hash(frozenset(self.terms.items()))
+        # a constant equals its int, so it hashes as that int
+        terms = self.terms
+        if not terms:
+            return hash(0)
+        if len(terms) == 1 and 0 in terms:
+            return hash(terms[0])
+        return hash(frozenset(terms.items()))
 
     # -- Laurent-specific helpers ----------------------------------------
 
@@ -303,6 +326,19 @@ def monomial(coeff, exp):
     if type(coeff) is not int or type(exp) is not int:
         raise ValueError(f"not an int term: {exp!r}: {coeff!r}")
     return LaurentPoly._raw({exp: coeff}) if coeff else ZERO
+
+
+def _fold_product(acc, big, small):
+    """Add the product of the term maps ``big`` and ``small`` into the
+    term map ``acc`` in place, zero sums kept: the caller drops them once,
+    through :meth:`LaurentPoly._sum`.  The larger map loops innermost."""
+    if len(big) < len(small):
+        big, small = small, big
+    get = acc.get
+    for k, a in small.items():
+        for e, c in big.items():
+            e += k
+            acc[e] = get(e, 0) + c * a
 
 
 # -- Kronecker substitution: a polynomial as its value at 2^bits ----------

@@ -20,16 +20,19 @@ differ only in the (partition, weight) terms one partition expands into:
 All three produce identical vectors; the pairing polynomial read off the
 empty partition after a full peel is checked against an independent
 power-sum oracle built from classical symmetric-group characters.  Those
-come from the Murnaghan-Nakayama rule on beta-sets, not from strip
-enumeration, so the oracle shares only ``partitions_of``,
-``partition_tuples`` and ``sort_to_partition`` with the peeling code and
-the strip routes.
+come from the Murnaghan-Nakayama rule on beta-sets held as the set bits
+of one int (a rim hook is a bead move), not from strip enumeration, so
+the oracle shares only ``partitions_of``, ``partition_tuples`` and
+``sort_to_partition`` with the peeling code and the strip routes.
 
-Everything works in a generic variable t with exact coefficients.  The
-memos hold what the expansions share (the powers of 1 - t, the scaled
-determinants and their diagonal blocks, classical characters,
-centralizer factors and Newton coefficients), not the pairings
-themselves.
+Everything works in a generic variable t with exact coefficients, as
+exponent -> int dicts; nothing here is packed.  The peel loop and the
+oracle add their products in place into one term dict per output and
+build one LaurentPoly from it at the end.  The memos hold what the
+expansions share (the powers of 1 - t, written out from binomial
+coefficients, the scaled determinants and their diagonal blocks,
+classical characters, centralizer factors and Newton coefficients), not
+the pairings themselves.
 """
 
 from __future__ import annotations
@@ -37,7 +40,9 @@ from __future__ import annotations
 from collections import Counter
 from math import comb, factorial, prod
 
-from .laurent import ZERO, ONE, T, LaurentPoly, RationalFn, monomial
+from .laurent import (
+    ZERO, ONE, T, LaurentPoly, RationalFn, _fold_product, monomial,
+)
 from .partitions import (
     MEMOS, cached, check_degree, check_indices, partition_tuples,
     sort_to_partition, strip_removals, subpartitions_of_weight, weight,
@@ -51,7 +56,9 @@ _CACHES = MEMOS.setdefault(__name__, [])
 
 @cached
 def _omt_pow(j):
-    return ONE_MINUS_T ** j
+    # (1 - t)^j = sum_k (-1)^k C(j, k) t^k, written out
+    return LaurentPoly._raw({k: -comb(j, k) if k % 2 else comb(j, k)
+                             for k in range(j + 1)})
 
 
 def straighten(mu):
@@ -85,7 +92,8 @@ def straighten(mu):
 
 def _peel(k, vec, terms):
     # the one vector loop: each partition of weight >= k expands into the
-    # (mu, weight) pairs of ``terms``; zero sums are dropped
+    # (mu, weight) pairs of ``terms``, whose products are summed in place
+    # into one term map per mu; zero sums are dropped at the end
     if k == 0:
         return vec
     out = {}
@@ -93,10 +101,12 @@ def _peel(k, vec, terms):
         if k > weight(lam):
             continue
         for mu, w in terms(lam, k):
-            term = coeff * w
-            cur = out.get(mu)
-            out[mu] = term if cur is None else cur + term
-    return {mu: c for mu, c in out.items() if not c.is_zero()}
+            acc = out.get(mu)
+            if acc is None:
+                out[mu] = acc = {}
+            _fold_product(acc, coeff.terms, w.terms)
+    out = {mu: LaurentPoly._sum(acc) for mu, acc in out.items()}
+    return {mu: c for mu, c in out.items() if c.terms}
 
 
 def _surviving_drops(lam, k):
@@ -291,35 +301,39 @@ def centralizer_poly_factors(lam):
     return out
 
 
-@cached
 def _classical_mn(lam, rho):
-    # beta-set rim-hook rule: with beta_i = lam_i + l - 1 - i, a rim hook of
-    # size k = rho_1 moves one bead beta_i down to a free c = beta_i - k; the
-    # rows i+1..j-1 whose beads lie strictly between move up a place, and
-    # their number is the leg length that gives the sign
+    # the beta-set of lam, beta_i = lam_i + l - 1 - i, as the set bits of
+    # one int: the rim-hook rule of _bead_chi runs on bit moves
+    l = len(lam)
+    beads = 0
+    for i, p in enumerate(lam):
+        beads |= 1 << (p + l - 1 - i)
+    return _bead_chi(beads, rho)
+
+
+@cached
+def _bead_chi(beads, rho):
+    # a rim hook of size k = rho_1 moves one bead x down to a free x - k;
+    # the beads strictly between are the rows it crosses, and the parity
+    # of their number (the leg length) gives the sign.  A bead at 0 is an
+    # empty row: the run of beads from 0 up is dropped, so one partition
+    # has one set of beads
     if not rho:
         return 1
-    k = rho[0]
-    rest = rho[1:]
-    l = len(lam)
-    beta = [p + l - 1 - i for i, p in enumerate(lam)]
+    k, rest = rho[0], rho[1:]
+    between = (1 << (k - 1)) - 1
     total = 0
-    for i, b in enumerate(beta):
-        c = b - k
-        if c < 0:
-            break
-        j = i + 1
-        while j < l and beta[j] > c:
-            j += 1
-        if j < l and beta[j] == c:
-            continue
-        mu = (lam[:i] + tuple(p - 1 for p in lam[i + 1:j]) + (c - l + j,)
-              + lam[j:])
-        if not c:
-            # the bead reached 0 (so j = l): drop the rows that became empty
-            mu = mu[:mu.index(0)]
-        term = _classical_mn(mu, rest)
-        total += term if (j - i) % 2 else -term
+    free = (beads >> k) & ~beads
+    while free:
+        low = free & -free
+        free ^= low
+        c = low.bit_length() - 1
+        mu = beads ^ low ^ (low << k)
+        if mu & 1:
+            mu >>= (mu ^ (mu + 1)).bit_length() - 1
+        term = _bead_chi(mu, rest)
+        total += -term if ((beads >> (c + 1)) & between).bit_count() % 2 \
+            else term
     return total
 
 
@@ -353,12 +367,13 @@ def _oracle(lam, mu):
     # the conjugacy class of S_{mu_j} of cycle type rho_j; so every term
     # is integral over D = prod_j mu_j!
     den = prod(map(factorial, mu))
-    acc = ZERO
+    acc = {}
     for rho, z in _power_sum_terms(mu):
         chi = _classical_mn(lam, rho)
         if chi:
-            acc = acc + centralizer_poly_factors(rho) * (chi * (den // z))
-    return acc.divexact(den)
+            _fold_product(acc, centralizer_poly_factors(rho).terms,
+                          {0: chi * (den // z)})
+    return LaurentPoly._sum(acc).divexact(den)
 
 
 def newton_coeffs(m):

@@ -98,8 +98,10 @@ def test_gram_pairing_against_the_matrix_by_matrix_sum():
     for n in range(7):
         for lam in partitions_of(n):
             for mu in partitions_of(n):
-                assert gram_pairing(lam, mu) == matrix_product_sum(lam, mu), \
-                    (lam, mu)
+                got = gram_pairing(lam, mu)
+                assert got == matrix_product_sum(lam, mu), (lam, mu)
+                # summed in place: no zero coefficient is stored
+                assert all(got.terms.values()), (lam, mu)
     # compositions in any order, with zero parts inside
     rng = random.Random(4711)
     for _ in range(40):

@@ -2,10 +2,12 @@ import random
 
 import pytest
 
+from heckechar.characters import _qm1_pow
 from heckechar.laurent import (
     ONE, T, ZERO, ExactnessError, LaurentPoly, RationalFn, digit_bits,
     monomial, pack, poly_gcd, unpack,
 )
+from heckechar.schur import _omt_pow
 
 
 def rand_poly(rng, max_terms=4, max_abs_exp=3, max_coeff=5):
@@ -28,6 +30,86 @@ def test_zero_and_constants():
     assert (T - T).is_zero()
     with pytest.raises(ValueError):
         ZERO.min_exp()
+
+
+def test_constants_hash_as_their_ints():
+    # a constant equals its int, so it must hash as that int
+    assert ONE == 1 and hash(ONE) == hash(1)
+    assert len({ONE, 1}) == 1
+    assert ZERO == 0 and hash(ZERO) == hash(0)
+    assert len({ZERO, 0}) == 1
+    for c in (-1, 7, 2 ** 64 + 3, -(10 ** 30)):
+        assert LaurentPoly.const(c) == c
+        assert hash(LaurentPoly.const(c)) == hash(c)
+    assert {LaurentPoly({0: 5}): "five"}[5] == "five"
+    # a nonconstant polynomial still hashes by its terms
+    assert hash(LaurentPoly({0: 1, 1: 1})) == hash(ONE + T)
+
+
+def test_a_bool_is_not_a_constant():
+    # const, *, **, shift, coeff and monomial refuse a bool; so does ==
+    assert not ONE == True
+    assert ONE != True
+    assert not ZERO == False
+    assert ZERO != False
+    assert len({ONE, True}) == 2
+    assert True not in {ONE} and ONE not in {True}
+
+
+def sparse_poly(rng):
+    """A seeded random sparse Laurent polynomial: up to 6 terms,
+    exponents in [-40, 40], coefficients of both signs up to 2^70."""
+    return LaurentPoly({rng.randint(-40, 40):
+                        rng.choice((-1, 1)) * rng.randint(1, 2 ** 70)
+                        for _ in range(rng.randint(0, 6))})
+
+
+def schoolbook(a, b, sign):
+    # the sum (sign = 1), difference (sign = -1) or product (sign = 0) of
+    # a and b, built term by term; the checked constructor drops zeros
+    if sign:
+        out = dict(a.terms)
+        for e, c in b.terms.items():
+            out[e] = out.get(e, 0) + sign * c
+    else:
+        out = {}
+        for e1, c1 in a.terms.items():
+            for e2, c2 in b.terms.items():
+                out[e1 + e2] = out.get(e1 + e2, 0) + c1 * c2
+    return LaurentPoly(out)
+
+
+def _operand_pairs(rng):
+    for _ in range(300):
+        a, b = sparse_poly(rng), sparse_poly(rng)
+        one_term = monomial(rng.choice((-1, 1)) * rng.randint(1, 2 ** 66),
+                            rng.randint(-9, 9))
+        yield from ((a, b), (a, one_term), (one_term, a), (a, ZERO),
+                    (ZERO, a), (a, a), (a, -a))
+    # full cancellation, and products whose middle terms cancel
+    x = monomial(3 ** 50, -4)
+    y = monomial(-(2 ** 80), 7)
+    yield from ((x + y, x - y), (ONE + T + T * T, ONE - T),
+                (monomial(1, -1) + T, monomial(1, -1) - T))
+
+
+def test_kernel_matches_the_schoolbook_reference():
+    for a, b in _operand_pairs(random.Random(34)):
+        for got, sign in ((a + b, 1), (a - b, -1), (a * b, 0)):
+            assert got.terms == schoolbook(a, b, sign).terms, (a, b, sign)
+            assert all(got.terms.values()), (a, b, sign)
+    assert (T - T).terms == {} and (T * 0).terms == {}
+    assert ((ONE + T + T * T) * (ONE - T)).terms == {0: 1, 3: -1}
+    x, y = monomial(3 ** 50, -4), monomial(-(2 ** 80), 7)
+    assert ((x + y) * (x - y)).terms == {-8: 3 ** 100, 14: -(2 ** 160)}
+
+
+def test_powers_of_one_minus_t_in_closed_form():
+    for j in range(41):
+        assert _omt_pow(j) == (ONE - T) ** j
+        assert _qm1_pow(j) == (T - ONE) ** j
+        assert all(_omt_pow(j).terms.values())
+        assert all(_qm1_pow(j).terms.values())
 
 
 def test_mul_term_bound():

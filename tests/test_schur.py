@@ -98,6 +98,39 @@ def test_peel_strategies_agree_on_vectors():
                 assert not any(x.is_zero() for x in a.values()), (lam, k)
 
 
+def _no_zero_stored(vec):
+    return all(c.terms and all(c.terms.values()) for c in vec.values())
+
+
+def test_sums_in_place_store_no_zero():
+    # every peel, and every second peel of its result, holds no zero entry
+    # and no zero coefficient; so does every oracle pairing
+    for n in range(1, 8):
+        for lam in partitions_of(n):
+            for strategy, terms in schur._PEELERS.items():
+                for k in range(1, n + 1):
+                    vec = schur._peel(k, {lam: ONE}, terms)
+                    assert _no_zero_stored(vec), (lam, k, strategy)
+                    for k2 in range(1, n - k + 1):
+                        assert _no_zero_stored(
+                            schur._peel(k2, vec, terms)), (lam, k, k2)
+            if n <= 6:
+                for mu in partitions_of(n):
+                    g = pairing_polynomial(lam, mu, "oracle")
+                    assert all(g.terms.values()), (lam, mu)
+
+    # terms that cancel: a sum that vanishes is dropped, and a sum whose
+    # middle terms cancel keeps only its nonzero coefficients
+    def cancelling(lam, k):
+        yield (), ONE + T
+        yield (1,), ONE + T
+        yield (), -(ONE + T)
+        yield (1,), -T
+
+    out = schur._peel(1, {(2,): OMT}, cancelling)
+    assert out == {(1,): OMT} and out[(1,)].terms == {0: 1, 1: -1}
+
+
 def test_peel_single_part_remark():
     # peeling everything at once: zero unless the shape is a hook, where
     # it leaves (1-t)(-t)^(legs) on the empty partition
