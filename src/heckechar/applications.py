@@ -16,7 +16,8 @@ from .partitions import (
     cached, check_composition, check_weights, contingency_matrices,
     partitions_of, sort_to_partition, weight,
 )
-from .characters import _qm1_pow, character
+from .characters import character
+from .schur import _omt_pow
 
 
 def neg_q_bracket(k):
@@ -86,7 +87,7 @@ def entry_weight(k):
     if k == 0:
         return ONE
     bracket = LaurentPoly({2 * j: 1 for j in range(k)})
-    return _qm1_pow(2) * bracket
+    return _omt_pow(2) * bracket
 
 
 def gram_pairing(lam, mu):
@@ -128,8 +129,9 @@ def bitrace(lam, mu, method="matrices"):
     lam, mu = _bitrace_indices(lam, mu)
     n = weight(lam)
     if method == "matrices":
-        total = gram_pairing(lam, mu)
-        return total.divexact(_qm1_pow(len(lam) + len(mu)))
+        l = len(lam) + len(mu)
+        total = gram_pairing(lam, mu).divexact(_omt_pow(l))
+        return -total if l % 2 else total
     if method == "char_sum":
         lam_p, mu_p = sort_to_partition(lam), sort_to_partition(mu)
         return sum((character(rho, lam_p) * character(rho, mu_p)
@@ -141,6 +143,7 @@ def bitrace_via_gram(lam, mu):
     """Normalization consistency route: q^(2n) (q-1)^(-r-s) times the
     gram pairing with the variable inverted."""
     lam, mu = _bitrace_indices(lam, mu)
-    n = weight(lam)
+    n, l = weight(lam), len(lam) + len(mu)
     h = gram_pairing(lam, mu).invert_variable().shift(2 * n)
-    return h.divexact(_qm1_pow(len(lam) + len(mu)))
+    h = h.divexact(_omt_pow(l))
+    return -h if l % 2 else h

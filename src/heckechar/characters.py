@@ -40,7 +40,7 @@ import json
 import os
 import stat
 from itertools import chain, product, repeat
-from math import comb, factorial, prod
+from math import factorial, prod
 
 from .laurent import (
     ZERO, ONE, ExactnessError, LaurentPoly, biased_digits, digit_bits,
@@ -61,13 +61,6 @@ from .schur import (
 _CACHES = MEMOS.setdefault(__name__, [])
 
 ONE_MINUS_TINV = ONE - monomial(1, -1)
-
-
-@cached
-def _qm1_pow(j):
-    # (t - 1)^j = sum_k (-1)^(j-k) C(j, k) t^k, written out
-    return LaurentPoly._raw({k: -comb(j, k) if (j - k) % 2 else comb(j, k)
-                             for k in range(j + 1)})
 
 
 @cached
@@ -164,17 +157,18 @@ def two_row_cumulative(mu):
 def broken_strip_weight(k, m, j):
     """(q-1)^(m-1) * prod (-1)^(rows-1) q^(cols-1) over the m components
     of a broken k-strip, j the sum of their rows - 1: the cols - 1 sum
-    to k - m - j."""
-    w = _qm1_pow(m - 1).shift(k - m - j)
-    return -w if j % 2 else w
+    to k - m - j; (q-1)^(m-1) is (-1)^(m-1) (1-q)^(m-1)."""
+    w = _omt_pow(m - 1).shift(k - m - j)
+    return -w if (m - 1 + j) % 2 else w
 
 
 @cached
 def _packed_base(j, s, bits):
-    # (t-1)^j * t^s at 2^bits.  mn's weight broken_strip_weight(k, m, i)
-    # is (-1)^i times it at j = m - 1, s = k - m - i; the first row's
-    # weights of both reductions are (1 - 1/t)^j = (t-1)^j * t^-j
-    return pack(_qm1_pow(j).shift(s), bits)
+    # (t-1)^j * t^s at 2^bits, the (1 - t)^j entry signed; mn's weight
+    # broken_strip_weight(k, m, i) is (-1)^i times it at (m - 1, k - m - i),
+    # and (1 - 1/t)^j = (t-1)^j * t^-j gives the reductions' first row
+    v = pack(_omt_pow(j).shift(s), bits)
+    return -v if j % 2 else v
 
 
 @cached
@@ -348,10 +342,11 @@ def _quotient(total, divisor, bound, bits):
 def _first_row_level(mu, i):
     """The tau with 0 <= tau_k <= mu_k and |tau| = i, grouped: (rem, j,
     count) for each (mu - tau sorted to a partition, nz(tau)) met count
-    times.  The first part keeps mu_1 - x boxes, for each x it can give
-    up, and each group of mu[1:] at level i - x gains that part and
-    counts x > 0; mu's suffixes are partitions, so their levels are
-    memoised and shared by every mu that ends in them."""
+    times; at lam_1 <= i <= n, a tau is a term (1 - 1/t)^nz(tau) of the
+    first row's vertex operator.  The first part keeps mu_1 - x boxes, for
+    each x it can give up, and each group of mu[1:] at level i - x gains
+    that part and counts x > 0; mu's suffixes are partitions, so their
+    levels are memoised and shared by every mu that ends in them."""
     if not mu:
         return (((), 0, 1),) if i == 0 else ()
     head, rest = mu[0], mu[1:]
@@ -361,17 +356,6 @@ def _first_row_level(mu, i):
             key = (sort_to_partition(rem + (head - x,)), j + (x > 0))
             groups[key] = groups.get(key, 0) + count
     return tuple((rem, j, count) for (rem, j), count in groups.items())
-
-
-def _first_row_terms(lam, mu):
-    """The terms of the first row's vertex operator: for lam_1 <= i <= n
-    and each tau with 0 <= tau_k <= mu_k and |tau| = i, a term of weight
-    (1 - 1/t)^nz(tau).  The terms that agree in mu - tau up to order and
-    in nz(tau) come as one quadruple (i, rem, j, count), from the suffix
-    recursion of _first_row_level: no tau is built."""
-    for i in range(lam[0], weight(mu) + 1):
-        for rem, j, count in _first_row_level(mu, i):
-            yield i, rem, j, count
 
 
 def _sn_numerator(tail, nu, z, fact):
@@ -389,11 +373,6 @@ def _sn_numerator(tail, nu, z, fact):
 
 
 @cached
-def _packed_cpf(nu, bits):
-    return pack(centralizer_poly_factors(nu), bits)
-
-
-@cached
 def _sn_inner(tail, rem, bits):
     """The sum over the power-sum terms of prod_j h_rem_j of
     centralizer_poly_factors(nu) * numerator, packed.
@@ -405,7 +384,7 @@ def _sn_inner(tail, rem, bits):
     for nu, z in _power_sum_terms(rem):
         numer = _sn_numerator(tail, nu, z, fact)
         if numer:
-            v += _packed_cpf(nu, bits) * numer
+            v += pack(centralizer_poly_factors(nu), bits) * numer
     return v
 
 
@@ -413,18 +392,19 @@ def _sn_sum(lam, mu, bits):
     """The numerator _via_sn divides, packed."""
     tail = lam[1:]
     v = 0
-    for i, rem, j, count in _first_row_terms(lam, mu):
-        inner = _sn_inner(tail, rem, bits)
-        if inner:
-            # j = nz(tau) <= |tau| = i
-            v += _packed_base(j, i - j, bits) * inner * count
+    for i in range(lam[0], weight(mu) + 1):
+        for rem, j, count in _first_row_level(mu, i):
+            inner = _sn_inner(tail, rem, bits)
+            if inner:
+                # j = nz(tau) <= |tau| = i
+                v += _packed_base(j, i - j, bits) * inner * count
     return v
 
 
 def _via_sn(lam, mu):
     """Reduce to classical characters of lower-degree symmetric groups.
 
-    The terms come from _first_row_terms, one per group (i, mu - tau
+    The terms come from _first_row_level, one per group (i, mu - tau
     sorted, nz(tau)) times its count, so each inner sum is read once per
     group however many tau share it.  Each term's denominator z * z_rho
     divides (n - lam_1)!: the block sizes n_j (the parts of mu - tau,
@@ -451,8 +431,8 @@ def _newton_scaled(top):
 
     def term(rho, c):
         c = (c.num * p).divexact(c.den).invert_variable() * \
-            _qm1_pow(len(rho))
-        return rho, c.shift(deg)
+            _omt_pow(len(rho))
+        return rho, (-c if len(rho) % 2 else c).shift(deg)
 
     return p.invert_variable().shift(deg), [
         tuple(term(rho, c) for rho, c in newton_coeffs(m).items())
@@ -477,11 +457,12 @@ def _newton_sum(lam, mu, bits):
     tail = lam[1:]
     l = len(mu)
     v = 0
-    for _, rem, j, count in _first_row_terms(lam, mu):
-        inner = _newton_inner(tail, rem, bits)
-        if inner:
-            # (1 - 1/t)^j * (t-1)^len(rem) * t^l; j = nz(tau) <= l = len(mu)
-            v += _packed_base(j + len(rem), l - j, bits) * inner * count
+    for i in range(lam[0], weight(mu) + 1):
+        for rem, j, count in _first_row_level(mu, i):
+            inner = _newton_inner(tail, rem, bits)
+            if inner:
+                # (1 - 1/t)^j * (t-1)^len(rem) * t^l; j = nz(tau) <= l
+                v += _packed_base(j + len(rem), l - j, bits) * inner * count
     return v
 
 

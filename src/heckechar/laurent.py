@@ -503,7 +503,8 @@ class RationalFn:
     def _coerce(x):
         if isinstance(x, RationalFn):
             return x
-        if isinstance(x, (int, LaurentPoly)):
+        # a bool is not an int here, as in LaurentPoly.const
+        if type(x) is int or isinstance(x, LaurentPoly):
             return RationalFn(x)
         return None
 
@@ -559,6 +560,10 @@ class RationalFn:
         return self.num * other.den == other.num * self.den
 
     def __hash__(self):
+        # in canonical form a value equal to a polynomial has the
+        # denominator one; it hashes as that polynomial, a constant as its int
+        if self.den.is_one():
+            return hash(self.num)
         return hash((self.num, self.den))
 
     def to_laurent(self):

@@ -61,10 +61,11 @@ _CACHES = MEMOS.setdefault(__name__, [])
 
 
 def _as_tuple(parts, kind):
-    try:
-        return tuple(parts)
-    except TypeError:  # not iterable: None, an int, ...
-        raise ValueError(f"not a {kind}: {parts!r}") from None
+    # a tuple or a list only: tuple() would also read bytes as ints and a
+    # mapping's keys or a set, in no fixed order, as parts
+    if not isinstance(parts, (tuple, list)):
+        raise ValueError(f"not a {kind}: {parts!r}")
+    return tuple(parts)
 
 
 def check_partition(parts):

@@ -32,7 +32,8 @@ build one LaurentPoly from it at the end.  The memos hold what the
 expansions share (the powers of 1 - t, written out from binomial
 coefficients, the scaled determinants and their diagonal blocks,
 classical characters, centralizer factors and Newton coefficients), not
-the pairings themselves.
+the pairings themselves.  Every route of the package reads its powers
+of 1 - t, or of t - 1 as (-1)^j (1 - t)^j, from the one table here.
 """
 
 from __future__ import annotations

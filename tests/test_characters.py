@@ -751,12 +751,13 @@ def test_reduction_first_row_weights_share_one_table():
 
 
 @pytest.mark.parametrize("algorithm, constant", [
-    ("gen_sn", "_packed_cpf"), ("gen_sn", "_packed_base"),
+    ("gen_sn", "centralizer_poly_factors"), ("gen_sn", "_packed_base"),
     ("gen_newton", "_packed_base")])
 def test_reduction_packed_constant_off_by_one_is_caught(
         algorithm, constant, monkeypatch):
-    # negative control: one memo of packed constants, each off by one in
-    # its lowest digit, reaches the final exact division, which raises
+    # negative control: one table of constants, each off by one in its
+    # lowest digit once packed, reaches the final exact division, which
+    # raises
     right = getattr(characters, constant)
     monkeypatch.setattr(characters, constant, lambda *key: right(*key) + 1)
     clear_caches()

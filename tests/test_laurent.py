@@ -2,7 +2,6 @@ import random
 
 import pytest
 
-from heckechar.characters import _qm1_pow
 from heckechar.laurent import (
     ONE, T, ZERO, ExactnessError, LaurentPoly, RationalFn, digit_bits,
     monomial, pack, poly_gcd, unpack,
@@ -105,11 +104,11 @@ def test_kernel_matches_the_schoolbook_reference():
 
 
 def test_powers_of_one_minus_t_in_closed_form():
+    # every route reads (t - 1)^j off this table as (-1)^j (1 - t)^j
     for j in range(41):
         assert _omt_pow(j) == (ONE - T) ** j
-        assert _qm1_pow(j) == (T - ONE) ** j
+        assert _omt_pow(j) * (-1) ** j == (T - ONE) ** j
         assert all(_omt_pow(j).terms.values())
-        assert all(_qm1_pow(j).terms.values())
 
 
 def test_mul_term_bound():
@@ -207,6 +206,26 @@ def test_rational_errors():
     with pytest.raises(ExactnessError) as exc:
         RationalFn(ONE, ONE - T).to_laurent()
     assert exc.value.remainder is not None
+
+
+def test_a_bool_is_not_a_rational_constant():
+    # as for LaurentPoly, == refuses a bool instead of reading it as 1
+    assert not RationalFn(ONE) == True
+    assert not RationalFn(ZERO) == False
+    assert RationalFn(ONE) != True
+    assert RationalFn(ONE) == 1 and RationalFn(ZERO) == 0
+
+
+def test_rationals_equal_to_polynomials_hash_as_them():
+    # a value equal to a polynomial or an int must hash as it
+    assert hash(RationalFn(ONE)) == hash(ONE) == hash(1)
+    assert len({RationalFn(ONE), ONE, 1}) == 1
+    assert hash(RationalFn(ZERO)) == hash(0)
+    f = RationalFn(ONE - T * T, (ONE - T) * 2)
+    assert f == RationalFn(ONE + T, 2) and f != ONE + T
+    g = RationalFn((ONE - T * T) * 3, (ONE - T) * 3)
+    assert g == ONE + T and hash(g) == hash(ONE + T)
+    assert {ONE + T: "sum"}[g] == "sum"
 
 
 def test_serialization_pairs():

@@ -25,10 +25,12 @@ PUBLIC = sorted("""
 # malformed values of each kind of argument; a file path is not varied,
 # it keeps the operating system's own errors
 BAD = {
+    # bytes, a mapping and a set are iterable, but only a tuple or a list
+    # is read as parts
     "partition": [True, 1.0, None, "3", (2, 3), (1.0,), (True,), (0,),
-                  (-1,), [[1]]],
+                  (-1,), [[1]], b"\x02\x01", {2: "a", 1: "b"}, {1}],
     "composition": [True, 1.0, None, "3", (1.0,), (True, 2), (-1,),
-                    ((1,),)],
+                    ((1,),), b"\x01\x02", {1: None, 2: None}, {1, 2}],
     "degree": [True, 1.0, None, "3", -1],
     "strip size": [True, 1.0, None, "3"],
     "terms": [None, True, 1.0, "3", [(0, 1)], {None: 1}, {1.0: 1},
